@@ -1,6 +1,7 @@
 #include "sim/sharded.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "sim/profiler.hh"
@@ -43,7 +44,10 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
             nodeShardIdx_[st.nodes[i]] = std::uint32_t(i);
             st.queues.push_back(queues_[st.nodes[i]].get());
         }
-        st.keys.assign(st.queues.size(), {maxTick, 0});
+        // Padding leaves sort after every real key, empty queues'
+        // (maxTick, 0) included, so a real queue always wins the root.
+        st.tree.reset(st.queues.size(),
+                      {maxTick, std::numeric_limits<std::int32_t>::max()});
         st.postedMin.assign(shards_, maxTick);
     }
 
@@ -99,19 +103,19 @@ ShardedEngine::post(NodeId src, NodeId dst, Tick when, const char *name,
     const std::uint64_t stamp = queues_[src]->allocStamp();
     ShardState &st = shardStates_[ss];
     if (ss == ds) {
-        // Same shard: deliver directly. The merged min-selection loop
-        // executes this shard's queues in global (tick, priority)
-        // order, so an event landing at least one tick in the future
-        // is picked up at its exact time with no mailbox hop and —
-        // crucially — without clamping any window: the shard-pair
-        // diagonal never constrains the horizon.
+        // Same shard: deliver directly. The shard's tree orders its
+        // queues in global (tick, priority) order, so an event landing
+        // at least one tick in the future is picked up at its exact
+        // time with no mailbox hop and — crucially — without clamping
+        // any window: the shard-pair diagonal never constrains the
+        // horizon.
         queues_[dst]->scheduleStamped(when, stamp, name, std::move(fn),
                                       prio);
         ++st.directPosts;
-        auto &key = st.keys[nodeShardIdx_[dst]];
+        const std::size_t leaf = nodeShardIdx_[dst];
         const std::pair<Tick, std::int32_t> nk{when, std::int32_t(prio)};
-        if (nk < key)
-            key = nk;
+        if (nk < st.tree.key(leaf))
+            st.tree.update(leaf, nk);
         return;
     }
     Mailbox &mb = box(ss, ds);
@@ -311,28 +315,11 @@ ShardedEngine::executeShard(unsigned s)
         st.queues[0]->run(end);
         return;
     }
-    // Merged min-selection over the shard's queues: execute in global
-    // (tick, priority) order so a direct same-shard delivery one tick
-    // out is observed at its exact time. Keys are cached and kept
-    // exact — refreshed after each step, min-lowered by post() on
-    // direct delivery.
-    const std::size_t n = st.queues.size();
-    for (std::size_t i = 0; i < n; ++i)
-        st.keys[i] = st.queues[i]->nextEventKey();
-    for (;;) {
-        std::size_t best = n;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (st.keys[i].first > end)
-                continue;
-            if (best == n || st.keys[i] < st.keys[best])
-                best = i;
-        }
-        // The empty-queue sentinel (maxTick) passes the window filter
-        // when the horizon itself is maxTick — nothing to run then.
-        if (best == n || st.keys[best].first == maxTick)
-            break;
-        st.queues[best]->step();
-        st.keys[best] = st.queues[best]->nextEventKey();
+    // Merged selection over the shard's queues: execute in global
+    // (tick, priority) order, ties to the lower node, so a direct
+    // same-shard delivery one tick out is observed at its exact time.
+    st.rebuildTree();
+    while (st.stepNext(end)) {
     }
 }
 
@@ -461,40 +448,38 @@ ShardedEngine::runUntil(const std::function<bool()> &pred, Tick limit)
 Tick
 ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
 {
+    // The canonical (tick, priority, node) minimum over the shards'
+    // tree roots: each root already is its shard's minimum with ties
+    // at the lower node, so the result is the global order no matter
+    // how nodes map to shards — host-shared rendezvous state read
+    // during setup observes the same history under any --shards value.
+    auto earliest = [this]() -> ShardState & {
+        auto rank = [](const ShardState &st) {
+            return std::make_pair(st.tree.minKey(),
+                                  st.nodes[st.tree.winner()]);
+        };
+        ShardState *best = &shardStates_[0];
+        for (ShardState &st : shardStates_) {
+            if (rank(st) < rank(*best))
+                best = &st;
+        }
+        return *best;
+    };
     drainAll();
     for (;;) {
         if (barrierHook_)
             barrierHook_();
         if (pred())
             break;
-        Tick next = maxTick;
-        for (auto &q : queues_)
-            next = std::min(next, q->nextEventTick());
+        for (ShardState &st : shardStates_)
+            st.rebuildTree();
+        const Tick next = earliest().tree.minKey().first;
         if (next == maxTick || next > limit)
             break;
         const Tick window_end = windowEndFor(next, limit);
         ++windows_;
         bool stop = false;
-        for (;;) {
-            // Step the globally earliest event by (tick, priority,
-            // node) — a canonical interleaving that cannot depend on
-            // the shard count, so host-shared rendezvous state read
-            // during setup observes the same history under any
-            // --shards value.
-            EventQueue *best = nullptr;
-            std::pair<Tick, std::int32_t> best_key{maxTick, 0};
-            for (NodeId n = 0; n < nodeCount(); ++n) {
-                auto key = queues_[n]->nextEventKey();
-                if (key.first > window_end)
-                    continue;
-                if (!best || key < best_key) {
-                    best = queues_[n].get();
-                    best_key = key;
-                }
-            }
-            if (!best)
-                break;
-            best->step();
+        while (earliest().stepNext(window_end)) {
             if (pred()) {
                 stop = true;
                 break;

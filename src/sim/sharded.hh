@@ -29,10 +29,11 @@
  * One barrier per round: the plan runs in the barrier's completion
  * step (every worker parked), and each worker then drains its inbox
  * and executes its window — there is no separate post-execute sync
- * barrier. A shard holding several nodes executes them with a merged
- * (tick, priority, node) min-selection loop, so same-shard cross-node
- * posts are delivered directly into the destination queue without
- * clamping anyone's horizon.
+ * barrier. A shard holding several nodes executes them in merged
+ * (tick, priority, node) order, picked by a tournament tree over the
+ * queues' next-event keys (MinTree: O(log n) per event), so same-shard
+ * cross-node posts are delivered directly into the destination queue
+ * without clamping anyone's horizon.
  *
  * Cross-shard messages travel through per-(source shard, destination
  * shard) SPSC mailboxes and carry a canonical *stamp* allocated from
@@ -60,6 +61,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/min_tree.hh"
 #include "sim/spsc.hh"
 #include "sim/types.hh"
 
@@ -197,7 +199,9 @@ class SpinBarrier
  *    export/import flags). All queues are interleaved in one global
  *    canonical (tick, priority, node) order on the calling thread, so
  *    cross-node host reads are both race-free and shard-count
- *    independent; the predicate is checked after every event.
+ *    independent; the predicate is checked after every event. The
+ *    next event is the minimum over the shards' tree roots, so both
+ *    modes share one selection structure.
  */
 class ShardedEngine : public NodeRouter
 {
@@ -350,9 +354,9 @@ class ShardedEngine : public NodeRouter
 
     /**
      * Per-shard working state, one cache line set per shard (the
-     * alignment keeps one shard's hot fields — cached keys, promise
-     * row, counters — off every other shard's lines; the window loop
-     * touches these every event).
+     * alignment keeps one shard's hot fields — selection tree,
+     * promise row, counters — off every other shard's lines; the
+     * window loop touches these every event).
      *
      * Ownership: the shard's own worker writes everything during its
      * round; `windowEnd` is written by the barrier completion (all
@@ -375,14 +379,42 @@ class ShardedEngine : public NodeRouter
         std::vector<NodeId> nodes;
         /** queues[i] == engine queue of nodes[i]. */
         std::vector<EventQueue *> queues;
-        /** Cached (tick, prio) next-event keys for the merged
-         *  min-selection loop; post() lowers the destination's entry
-         *  on same-shard direct delivery. */
-        std::vector<std::pair<Tick, std::int32_t>> keys;
+        /** Tournament tree over the queues' (tick, prio) next-event
+         *  keys, leaf i == queues[i]. Rebuilt from the queues at
+         *  window entry (after the drain), replayed on the fired
+         *  queue's path after each step, and on the destination's
+         *  path when post() lowers its key by same-shard direct
+         *  delivery — so the root is always the shard's next event. */
+        MinTree<std::pair<Tick, std::int32_t>> tree;
         /** Drain scratch, reused (capacity persists) across rounds. */
         std::vector<CrossMsg> drainBuf;
         /** Same-shard cross-node posts delivered directly. */
         std::uint64_t directPosts = 0;
+
+        /** Refill the tree from the queues' next-event keys. */
+        void
+        rebuildTree()
+        {
+            for (std::size_t i = 0; i < queues.size(); ++i)
+                tree.set(i, queues[i]->nextEventKey());
+            tree.build();
+        }
+
+        /** Fire the tree's winner if it is due by @p end (inclusive)
+         *  and replay its path; false when nothing is due. */
+        bool
+        stepNext(Tick end)
+        {
+            const std::size_t i = tree.winner();
+            const Tick when = tree.key(i).first;
+            // The empty-queue sentinel (maxTick) passes the window
+            // filter when the horizon itself is maxTick.
+            if (when > end || when == maxTick)
+                return false;
+            queues[i]->step();
+            tree.update(i, queues[i]->nextEventKey());
+            return true;
+        }
     };
 
     struct Control
@@ -428,7 +460,7 @@ class ShardedEngine : public NodeRouter
     void planRound();
 
     /** Execute shard @p s's queues up to its windowEnd: the single
-     *  queue directly, several via the merged min-selection loop. */
+     *  queue directly, several in the tree's merged order. */
     void executeShard(unsigned s);
 
     void workerBody(unsigned worker);
@@ -443,7 +475,7 @@ class ShardedEngine : public NodeRouter
      *  min over the member node pairs of the per-node-pair floor. */
     std::vector<Tick> pairL_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
-    /** Index of each node within its shard's queues/keys vectors. */
+    /** Index of each node within its shard's queues (its tree leaf). */
     std::vector<std::uint32_t> nodeShardIdx_;
     std::vector<ShardState> shardStates_;
     std::vector<std::unique_ptr<Mailbox>> boxes_;

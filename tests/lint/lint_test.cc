@@ -23,6 +23,8 @@
 #include <string>
 #include <utility>
 
+#include <unistd.h>
+
 #include "../support/mini_json.hh"
 
 namespace
@@ -212,17 +214,18 @@ class LintBaseline : public ::testing::Test
     std::string
     writeBaseline(const std::string &body)
     {
+        // Every test runs in its own process under ctest -j, so the
+        // test name and pid keep concurrent tests off each other's file.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         std::string path = ::testing::TempDir() + "lint_baseline_"
-                           + std::to_string(counter_++) + ".json";
+                           + info->name() + "_"
+                           + std::to_string(::getpid()) + ".json";
         std::ofstream out(path);
         out << body;
         return path;
     }
-
-    static int counter_;
 };
-
-int LintBaseline::counter_ = 0;
 
 TEST_F(LintBaseline, ExactEntrySuppressesAndReportsBaselined)
 {

@@ -9,14 +9,234 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "sim/random.hh"
 #include "sim/sharded.hh"
 
 using namespace shrimp;
 using namespace shrimp::sim;
+
+namespace
+{
+
+/** (event id, node, tick) of one fired event, in execution order. */
+using Fired = std::tuple<std::uint32_t, NodeId, Tick>;
+
+/**
+ * Random traffic for the selection-order tests. Each fired event
+ * draws 0-3 posts from one shared stream: self posts at +0..3 ticks
+ * and cross posts at +1..3 ticks, two priorities, on a narrow tick
+ * range — so equal (tick, priority) keys across nodes are common and
+ * a cross post often lands before its destination's next event.
+ * Because the stream is consumed in execution order, two executors
+ * produce the same trace only if they pick the same event every time.
+ */
+struct RandomTraffic
+{
+    static constexpr std::uint32_t cap = 3000;
+
+    unsigned nodes;
+    Random rng;
+    std::uint32_t nextId = 0;
+    std::vector<Fired> trace;
+
+    RandomTraffic(unsigned n, std::uint64_t seed) : nodes(n), rng(seed) {}
+
+    EventPriority
+    drawPrio()
+    {
+        return rng.below(2) ? EventPriority::Default
+                            : EventPriority::DeviceCompletion;
+    }
+
+    /** Three initial events per node, via @p sched(node, when, prio, id). */
+    template <typename Sched>
+    void
+    seed(Sched &&sched)
+    {
+        for (NodeId n = 0; n < nodes; ++n) {
+            for (int i = 0; i < 3; ++i) {
+                const Tick when = rng.below(40);
+                sched(n, when, drawPrio(), nextId++);
+            }
+        }
+    }
+
+    /** Record event @p id firing on @p self and issue its posts via
+     *  @p post(src, dst, when, prio, id). */
+    template <typename Post>
+    void
+    fire(NodeId self, Tick now, std::uint32_t id, Post &&post)
+    {
+        trace.emplace_back(id, self, now);
+        const unsigned k = unsigned(rng.below(4));
+        for (unsigned i = 0; i < k && nextId < cap; ++i) {
+            NodeId dst = self;
+            Tick delay = rng.below(4);
+            if (nodes > 1 && rng.below(2) == 0) {
+                dst = NodeId(rng.below(nodes - 1));
+                if (dst >= self)
+                    ++dst;
+                delay = 1 + rng.below(3);
+            }
+            post(self, dst, now + delay, drawPrio(), nextId++);
+        }
+    }
+};
+
+/**
+ * The selection order the engine must reproduce, by brute force: per
+ * node a flat list of pending events, each queue's head found by
+ * (tick, priority, source node, per-source sequence) — the stamp order
+ * — and the next node by a linear scan for the smallest head
+ * (tick, priority), ties to the lower node.
+ */
+struct LinearScanReference
+{
+    struct Ev
+    {
+        Tick when;
+        int prio;
+        NodeId src;
+        std::uint64_t seq;
+        std::uint32_t id;
+
+        auto order() const { return std::tie(when, prio, src, seq); }
+    };
+
+    std::vector<std::vector<Ev>> pending;
+    std::vector<std::uint64_t> seq;
+    /** Scan steps whose minimum was held by more than one node. */
+    unsigned ties = 0;
+    /** Cross posts that lowered the destination's next-event key. */
+    unsigned lowered = 0;
+
+    explicit LinearScanReference(unsigned nodes)
+        : pending(nodes), seq(nodes, 0)
+    {}
+
+    std::vector<Ev>::iterator
+    head(NodeId n)
+    {
+        return std::min_element(pending[n].begin(), pending[n].end(),
+                                [](const Ev &a, const Ev &b) {
+                                    return a.order() < b.order();
+                                });
+    }
+
+    /** Node @p n's next-event (tick, priority); maxTick when empty. */
+    std::pair<Tick, int>
+    key(NodeId n)
+    {
+        if (pending[n].empty())
+            return {maxTick, 0};
+        return {head(n)->when, head(n)->prio};
+    }
+
+    void
+    schedule(NodeId src, NodeId dst, Tick when, EventPriority prio,
+             std::uint32_t id)
+    {
+        if (src != dst && std::pair<Tick, int>(when, int(prio)) < key(dst))
+            ++lowered;
+        pending[dst].push_back(Ev{when, int(prio), src, seq[src]++, id});
+    }
+
+    void
+    run(RandomTraffic &traffic)
+    {
+        for (;;) {
+            NodeId best = 0;
+            unsigned holders = 1;
+            for (NodeId n = 1; n < pending.size(); ++n) {
+                if (key(n) < key(best)) {
+                    best = n;
+                    holders = 1;
+                } else if (key(n) == key(best)) {
+                    ++holders;
+                }
+            }
+            if (pending[best].empty())
+                return;
+            if (holders > 1)
+                ++ties;
+            auto h = head(best);
+            const Ev ev = *h;
+            pending[best].erase(h);
+            traffic.fire(best, ev.when, ev.id,
+                         [this](NodeId src, NodeId dst, Tick when,
+                                EventPriority prio, std::uint32_t id) {
+                             schedule(src, dst, when, prio, id);
+                         });
+        }
+    }
+};
+
+/** The reference's trace for @p nodes nodes and @p seed. */
+std::vector<Fired>
+referenceTrace(unsigned nodes, std::uint64_t seed,
+               LinearScanReference *out = nullptr)
+{
+    RandomTraffic traffic(nodes, seed);
+    LinearScanReference ref(nodes);
+    traffic.seed([&ref](NodeId n, Tick when, EventPriority prio,
+                        std::uint32_t id) {
+        ref.schedule(n, n, when, prio, id);
+    });
+    ref.run(traffic);
+    if (out)
+        *out = ref;
+    return traffic.trace;
+}
+
+/** The engine's trace for the same traffic, run by @p runner. */
+template <typename Runner>
+std::vector<Fired>
+engineTrace(ShardedEngine &eng, std::uint64_t seed, Runner &&runner)
+{
+    RandomTraffic traffic(eng.nodeCount(), seed);
+    // Every post from a firing event goes through the engine's router,
+    // which schedules self posts directly on the node's own queue.
+    struct Ctx
+    {
+        ShardedEngine &eng;
+        RandomTraffic &traffic;
+
+        void
+        post(NodeId src, NodeId dst, Tick when, EventPriority prio,
+             std::uint32_t id)
+        {
+            eng.post(src, dst, when, "test.rand",
+                     [this, dst, id] { fire(dst, id); }, prio);
+        }
+
+        void
+        fire(NodeId self, std::uint32_t id)
+        {
+            traffic.fire(self, eng.queue(self).now(), id,
+                         [this](NodeId src, NodeId dst, Tick when,
+                                EventPriority prio, std::uint32_t nid) {
+                             post(src, dst, when, prio, nid);
+                         });
+        }
+    } ctx{eng, traffic};
+    traffic.seed([&ctx](NodeId n, Tick when, EventPriority prio,
+                        std::uint32_t id) {
+        ctx.eng.queue(n).schedule(when, "test.seed",
+                                  [c = &ctx, n, id] { c->fire(n, id); },
+                                  prio);
+    });
+    runner(eng);
+    return traffic.trace;
+}
+
+} // namespace
 
 TEST(Sharded, ClampsShardsAndLookahead)
 {
@@ -301,4 +521,48 @@ TEST(Sharded, WorkerExceptionPropagatesToTheCaller)
     eng.queue(1).schedule(5, "test.boom",
                           [] { panic("boom on a worker thread"); });
     EXPECT_THROW(eng.run(), PanicError);
+}
+
+TEST(Sharded, TreeSelectionMatchesALinearScanReference)
+{
+    // One shard of n nodes: the whole run is one window of the
+    // tree-selected merged loop. Sizes off a power of two exercise the
+    // padding leaves.
+    for (unsigned nodes : {2u, 3u, 5u, 7u, 64u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            LinearScanReference ref(nodes);
+            const auto want = referenceTrace(nodes, seed, &ref);
+            ASSERT_GT(want.size(), 1000u) << "traffic too thin";
+            EXPECT_GT(ref.ties, 0u) << "no equal-key ties exercised";
+            EXPECT_GT(ref.lowered, 0u) << "no key-lowering posts";
+            ShardedEngine eng(nodes, 1, 1);
+            const auto got = engineTrace(
+                eng, seed, [](ShardedEngine &e) { e.run(); });
+            ASSERT_EQ(got.size(), want.size())
+                << "nodes=" << nodes << " seed=" << seed;
+            EXPECT_TRUE(got == want)
+                << "nodes=" << nodes << " seed=" << seed;
+            EXPECT_EQ(eng.pendingEvents(), 0u);
+        }
+    }
+}
+
+TEST(Sharded, RunSetupOrderIsShardCountInvariant)
+{
+    // runSetup interleaves every node in one canonical (tick,
+    // priority, node) order, picked over the shards' tree roots: the
+    // trace must equal the linear-scan reference at any shard count.
+    constexpr unsigned nodes = 8;
+    for (std::uint64_t seed : {4u, 5u}) {
+        const auto want = referenceTrace(nodes, seed);
+        for (unsigned shards : {1u, 2u, 3u, 4u, 8u}) {
+            ShardedEngine eng(nodes, shards, 1);
+            const auto got = engineTrace(eng, seed, [](ShardedEngine &e) {
+                e.runSetup([] { return false; });
+            });
+            EXPECT_TRUE(got == want)
+                << "shards=" << shards << " seed=" << seed;
+            EXPECT_EQ(eng.pendingEvents(), 0u);
+        }
+    }
 }
