@@ -309,6 +309,7 @@ System::dumpStats(std::ostream &os)
 {
     os << "sim.ticks " << simNow() << "\n";
     os << "sim.events " << simEvents() << "\n";
+    os << "sim.events_dispatched " << simEventsDispatched() << "\n";
     os << "net.topology " << topo_.describe() << "\n";
     os << "net.bytesRouted " << net_.bytesRouted() << "\n";
     {
@@ -351,6 +352,7 @@ System::dumpStatsJson(std::ostream &os)
     w.beginObject();
     w.field("ticks", simNow());
     w.field("events", simEvents());
+    w.field("events_dispatched", simEventsDispatched());
     w.endObject();
     w.key("net");
     w.beginObject();

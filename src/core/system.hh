@@ -220,12 +220,21 @@ class System
      *  sharded, the shared queue's clock otherwise. */
     Tick simNow() const { return engine_ ? engine_->now() : eq_.now(); }
 
-    /** Total events executed across all queues. */
+    /** Total events executed across all queues (the modelled event
+     *  count: elided spin-poll loads included). */
     std::uint64_t
     simEvents() const
     {
         return engine_ ? engine_->eventsExecuted()
                        : eq_.eventsExecuted();
+    }
+
+    /** Of simEvents(), those whose callback ran: the host's work. */
+    std::uint64_t
+    simEventsDispatched() const
+    {
+        return engine_ ? engine_->eventsDispatched()
+                       : eq_.eventsDispatched();
     }
 
     /** Run the event loop up to @p limit. */

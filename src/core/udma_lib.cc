@@ -142,13 +142,9 @@ udmaGather(os::UserContext &ctx, unsigned device, Addr dest_proxy_va,
 sim::Task<std::uint64_t>
 pollWord(os::UserContext &ctx, Addr va, std::uint64_t expected)
 {
-    std::uint64_t polls = 0;
-    for (;;) {
-        std::uint64_t w = co_await ctx.load(va);
-        ++polls;
-        if (w == expected)
-            co_return polls;
-    }
+    os::PollResult r = co_await ctx.pollUntil(
+        va, [expected](std::uint64_t w) { return w == expected; });
+    co_return r.polls;
 }
 
 sim::Task<std::vector<Addr>>

@@ -106,7 +106,8 @@ sim::Task<std::uint64_t> udmaGather(os::UserContext &ctx,
                                     std::vector<GatherPiece> pieces,
                                     bool wait_completion = true);
 
-/** Spin on a memory word until it holds @p expected. */
+/** Spin on a memory word until it holds @p expected (one
+ *  UserContext::pollUntil); returns the number of loads. */
 sim::Task<std::uint64_t> pollWord(os::UserContext &ctx, Addr va,
                                   std::uint64_t expected);
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -55,6 +56,7 @@ class PhysicalMemory
     {
         checkRange(addr, len);
         std::memcpy(data_.data() + addr, src, len);
+        noteWrite(addr, len);
     }
 
     /** Typed scalar access (little-endian host layout). */
@@ -80,7 +82,26 @@ class PhysicalMemory
     {
         SHRIMP_ASSERT(frame < frames(), "bad frame");
         std::memset(data_.data() + frame * pageBytes_, 0, pageBytes_);
+        noteWrite(frameAddr(frame), pageBytes_);
     }
+
+    /**
+     * Watch one range: the first write that overlaps [addr, addr+len)
+     * calls @p fn(@p ctx) after the bytes land, and the watch is gone.
+     * One watch at a time (the kernel's elided spin-poll word).
+     */
+    void
+    watch(Addr addr, std::uint64_t len, void (*fn)(void *), void *ctx)
+    {
+        SHRIMP_ASSERT(!watchFn_, "a write watch is already armed");
+        watchBegin_ = addr;
+        watchEnd_ = addr + len;
+        watchFn_ = fn;
+        watchCtx_ = ctx;
+    }
+
+    /** Drop the watch, if any. */
+    void unwatch() { watchFn_ = nullptr; }
 
     /** Base physical address of a frame. */
     Addr frameAddr(std::uint64_t frame) const { return frame * pageBytes_; }
@@ -89,6 +110,13 @@ class PhysicalMemory
     std::uint64_t frameOf(Addr addr) const { return addr / pageBytes_; }
 
   private:
+    void
+    noteWrite(Addr addr, std::uint64_t len)
+    {
+        if (watchFn_ && addr < watchEnd_ && watchBegin_ < addr + len)
+            std::exchange(watchFn_, nullptr)(watchCtx_);
+    }
+
     void
     checkRange(Addr addr, std::uint64_t len) const
     {
@@ -99,6 +127,10 @@ class PhysicalMemory
 
     std::uint32_t pageBytes_;
     std::vector<std::uint8_t> data_;
+    Addr watchBegin_ = 0;
+    Addr watchEnd_ = 0;
+    void (*watchFn_)(void *) = nullptr;
+    void *watchCtx_ = nullptr;
 };
 
 } // namespace shrimp::mem

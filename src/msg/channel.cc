@@ -52,12 +52,10 @@ SenderChannel::send(Addr src_va, std::uint32_t len)
         co_return false;
 
     // Flow control: spin on the credit word the receiver keeps
-    // updated via automatic update (one ordinary local load).
-    for (;;) {
-        std::uint64_t consumed = co_await ctx_.load(creditVa_);
-        if (seq_ - consumed < slots_)
-            break;
-    }
+    // updated via automatic update (ordinary local loads).
+    co_await ctx_.pollUntil(creditVa_, [this](std::uint64_t consumed) {
+        return seq_ - consumed < slots_;
+    });
 
     Addr slot = ringProxy_ + (seq_ % slots_) * slotBytes_;
 

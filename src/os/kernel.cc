@@ -56,9 +56,24 @@ Kernel::Kernel(sim::EventQueue &eq, const sim::MachineParams &params,
                             "fault-handler latency (us)");
     statGroup_.addFormula("freeFrames", &freeFramesNow_,
                           "free physical frames");
+    pollsElided_ = [this] {
+        return double(pollsElidedSettled_
+                      + eq_.repeatFirings(elided_.repeat));
+    };
+    polls_ = [this] {
+        return double(pollsDispatched_) + pollsElided_.value();
+    };
+    statGroup_.addFormula("polls", &polls_,
+                          "loads performed by pollUntil spins");
+    statGroup_.addFormula("polls_elided", &pollsElided_,
+                          "pollUntil loads elided (no event dispatched)");
 }
 
-Kernel::~Kernel() = default;
+Kernel::~Kernel()
+{
+    if (elided_.proc)
+        memory_.unwatch();
+}
 
 void
 Kernel::attachController(dma::UdmaController *ctrl)
@@ -150,7 +165,8 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
 
     Tick lat = 0;
     After after = After::Resume;
-    std::function<void()> functional;
+    Access acc = Access::None;
+    Addr pa = 0;
 
     switch (op->kind) {
       case UserOp::Kind::Compute:
@@ -176,7 +192,8 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
       }
 
       case UserOp::Kind::Load:
-      case UserOp::Kind::Store: {
+      case UserOp::Kind::Store:
+      case UserOp::Kind::Poll: {
         bool is_write = op->kind == UserOp::Kind::Store;
         std::uint64_t vpn = layout_.pageOf(op->vaddr);
         vm::TranslateResult tr;
@@ -220,22 +237,17 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
             if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
                 tcache_.insert(proc.pid_, vpn, pte);
         }
+        pa = tr.paddr;
         if (dec.space == vm::Space::Memory) {
             lat += params_.memAccess();
-            Addr pa = tr.paddr;
-            if (is_write) {
-                std::uint64_t v = op->value;
-                functional = [this, pa, v] {
-                    memory_.write<std::uint64_t>(pa, v);
-                    // Bus snoopers (automatic update) see the store.
-                    for (auto &snoop : snoopers_)
-                        (void)snoop(pa, v);
-                };
-            } else {
-                functional = [this, pa, op] {
-                    op->result.value =
-                        memory_.read<std::uint64_t>(pa);
-                };
+            acc = is_write ? Access::MemStore : Access::MemLoad;
+            // A spin past its first load, on a TLB hit that costs
+            // exactly one memory access: every further load repeats
+            // this one until something could change the outcome.
+            if (op->kind == UserOp::Kind::Poll && op->result.polls > 0
+                    && lat == params_.memAccess()) {
+                elidePoll(proc, op, pa, lat);
+                return;
             }
         } else {
             // Proxy space: an uncached reference across the I/O bus,
@@ -249,30 +261,112 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
             Tick fin =
                 ioBus_.acquireAt(eq_.now() + lat, params_.ioAccess());
             lat = fin - eq_.now();
-            Addr pa = tr.paddr;
-            if (is_write) {
-                auto v = std::int64_t(op->value);
-                functional = [client, dec, pa, v] {
-                    client->proxyStore(dec, pa, v);
-                };
-            } else {
-                functional = [client, dec, pa, op] {
-                    op->result.value = client->proxyLoad(dec, pa);
-                };
-            }
+            acc = is_write ? Access::ProxyStore : Access::ProxyLoad;
         }
         break;
       }
     }
 
+    // The access travels in the callback's inline storage: no
+    // per-op allocation.
     eq_.scheduleIn(
         lat, "cpu.op",
-        [this, &proc, functional = std::move(functional), after] {
-            if (functional)
-                functional();
-            opDone(proc, after);
+        [this, &proc, op, pa, acc, after] {
+            completeOp(proc, op, acc, pa, after);
         },
         sim::EventPriority::CpuResume);
+}
+
+void
+Kernel::completeOp(Process &proc, UserOp *op, Access acc, Addr pa,
+                   After after)
+{
+    switch (acc) {
+      case Access::None:
+        break;
+      case Access::MemLoad:
+        op->result.value = memory_.read<std::uint64_t>(pa);
+        break;
+      case Access::MemStore:
+        memory_.write<std::uint64_t>(pa, op->value);
+        // Bus snoopers (automatic update) see the store.
+        for (auto &snoop : snoopers_)
+            (void)snoop(pa, op->value);
+        break;
+      case Access::ProxyLoad:
+      case Access::ProxyStore: {
+        auto dec = layout_.decode(pa);
+        bus::ProxyClient *client = ioBus_.client(dec.device);
+        if (acc == Access::ProxyStore)
+            client->proxyStore(dec, pa, std::int64_t(op->value));
+        else
+            op->result.value = client->proxyLoad(dec, pa);
+        break;
+      }
+    }
+    if (op->kind == UserOp::Kind::Poll && acc != Access::None) {
+        ++op->result.polls;
+        ++pollsDispatched_;
+    }
+    opDone(proc, after);
+}
+
+void
+Kernel::continueProcess(Process &proc)
+{
+    UserOp *op = proc.pendingOp_;
+    if (op && op->kind == UserOp::Kind::Poll
+            && !op->until(op->result.value)) {
+        // The spin goes on: the next load, issued exactly where the
+        // user-level loop would issue it.
+        issueOp(proc, op, proc.resumePoint_);
+        return;
+    }
+    auto h = std::exchange(proc.resumePoint_, {});
+    SHRIMP_ASSERT(h, "no resume point");
+    h.resume();
+}
+
+void
+Kernel::elidePoll(Process &proc, UserOp *op, Addr pa, Tick period)
+{
+    // Each firing of the repeat is one load that reads the value the
+    // last real load read (any write to the word materializes first)
+    // and issues its successor on a TLB hit: the queue credits the
+    // event, the stamp and the TLB hit; the kernel credits the poll
+    // count when the repeat ends.
+    SHRIMP_ASSERT(!elided_.proc, "two elided polls on one CPU");
+    elided_ = ElidedPoll{&proc, op, pa,
+                         eq_.scheduleRepeat(eq_.now() + period, period,
+                                            "cpu.op",
+                                            sim::EventPriority::CpuResume,
+                                            mmu_.tlb().hitTally())};
+    memory_.watch(pa, sizeof(std::uint64_t), &Kernel::onPollWordWritten,
+                  this);
+}
+
+void
+Kernel::materializePoll()
+{
+    if (!elided_.proc)
+        return;
+    memory_.unwatch();
+    Process &proc = *elided_.proc;
+    UserOp *op = elided_.op;
+    const Addr pa = elided_.paddr;
+    const std::uint64_t n = eq_.materialize(
+        elided_.repeat, [this, &proc, op, pa] {
+            completeOp(proc, op, Access::MemLoad, pa, After::Resume);
+        });
+    op->result.polls += n;
+    pollsElidedSettled_ += n;
+    elided_ = ElidedPoll{};
+}
+
+void
+Kernel::onPollWordWritten(void *kernel)
+{
+    static_cast<Kernel *>(kernel)->materializePoll();
 }
 
 void
@@ -327,9 +421,7 @@ Kernel::opDone(Process &proc, After after)
             dispatch();
             return;
         }
-        auto h = std::exchange(proc.resumePoint_, {});
-        SHRIMP_ASSERT(h, "no resume point");
-        h.resume();
+        continueProcess(proc);
         return;
     }
 }
@@ -379,9 +471,7 @@ Kernel::resumeProcess(Process &proc)
         proc.started_ = true;
         proc.task_.resume();
     } else {
-        auto h = std::exchange(proc.resumePoint_, {});
-        SHRIMP_ASSERT(h, "resuming process with no suspension point");
-        h.resume();
+        continueProcess(proc);
     }
 }
 
@@ -412,6 +502,7 @@ Kernel::finalizeKill(Process &proc)
 void
 Kernel::killProcess(Process &proc, std::string reason)
 {
+    materializePoll();
     trace::log(eq_.now(), trace::Category::Os, "kill ", proc.name(),
                ": ", reason);
     proc.killed_ = true;
@@ -464,10 +555,12 @@ Kernel::armQuantum(Process &proc)
             quantumEvent_ = sim::EventHandle();
             if (running_ != &proc)
                 return;
-            if (!readyQueue_.empty())
+            if (!readyQueue_.empty()) {
                 preemptPending_ = true;
-            else
+                materializePoll();
+            } else {
                 armQuantum(proc);
+            }
         });
 }
 
@@ -650,6 +743,7 @@ Kernel::ensureResident(Process &proc, Addr va, bool for_write,
     if (!region)
         return false;
 
+    materializePoll();
     std::uint64_t frame;
     if (!allocFrame(proc.pid_, vpn, frame, lat))
         return false;
@@ -711,6 +805,7 @@ Kernel::pageBusyAnywhere(Addr page_base) const
 bool
 Kernel::evictOneFrame(Tick &lat)
 {
+    materializePoll();
     if (frames_.empty())
         return false;
     std::size_t max_scan = 2 * frames_.size();
@@ -751,6 +846,7 @@ Kernel::evictOneFrame(Tick &lat)
 bool
 Kernel::evictPage(Process &proc, Addr va, Tick &lat)
 {
+    materializePoll();
     vm::Pte *pte = proc.pageTable_.lookup(layout_.pageOf(va));
     if (!pte || !pte->valid)
         return false;
@@ -881,6 +977,7 @@ Kernel::writeProtectProxyMappings(Process &proc, std::uint64_t real_vpn)
 bool
 Kernel::cleanPage(Process &proc, Addr va, Tick &lat)
 {
+    materializePoll();
     std::uint64_t vpn = layout_.pageOf(va);
     vm::Pte *pte = proc.pageTable_.lookup(vpn);
     if (!pte || !pte->valid)
@@ -908,6 +1005,7 @@ Kernel::cleanPage(Process &proc, Addr va, Tick &lat)
 void
 Kernel::releaseProcessMemory(Process &proc)
 {
+    materializePoll();
     for (std::uint64_t frame = 0; frame < frames_.size(); ++frame) {
         if (frames_[frame].used && frames_[frame].pid == proc.pid_) {
             frames_[frame] = FrameInfo{};
@@ -954,6 +1052,7 @@ Kernel::mapDeviceProxy(Process &proc, unsigned device,
     if (win.allow && !win.allow(first_page, n_pages, writable))
         return 0;
 
+    materializePoll();
     Addr vbase = layout_.devProxyBase(device) + first_page * pb;
     for (std::uint64_t i = 0; i < n_pages; ++i) {
         std::uint64_t vpn = layout_.pageOf(vbase) + i;
@@ -1085,6 +1184,7 @@ Kernel::forEachProcess(const std::function<void(Process &)> &fn)
 void
 Kernel::modelSwitchTo(Process &proc)
 {
+    materializePoll();
     ++switches_;
     trace::log(eq_.now(), trace::Category::Os, "model switch to ",
                proc.name(), " (pid ", proc.pid(), ")");
@@ -1110,6 +1210,7 @@ Kernel::performUserAccess(Process &proc, Addr va, bool is_write,
     SHRIMP_ASSERT(mmu_.activeTable() == &proc.pageTable_,
                   "performUserAccess needs the process's address space "
                   "active (modelSwitchTo first)");
+    materializePoll();
 
     actorOverride_ = &proc;
     std::uint64_t vpn = layout_.pageOf(va);

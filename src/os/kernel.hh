@@ -392,6 +392,15 @@ class Kernel
         return std::uint64_t(i3DirtyFaults_.value());
     }
 
+    /** Loads performed by pollUntil spins, elided ones included. */
+    std::uint64_t polls() const { return std::uint64_t(polls_.value()); }
+    /** Of those, the loads elided as event-queue repeat firings. */
+    std::uint64_t
+    pollsElided() const
+    {
+        return std::uint64_t(pollsElided_.value());
+    }
+
     /** Fault-handler latency samples (us). */
     const stats::Histogram &faultLatency() const { return faultUs_; }
 
@@ -414,7 +423,34 @@ class Kernel
         bool killed = false;
     };
 
+    /** The data access a cpu.op performs when its latency elapses. */
+    enum class Access : std::uint8_t
+    {
+        None,
+        MemLoad,
+        MemStore,
+        ProxyLoad,
+        ProxyStore,
+    };
+
+    /** A cpu.op's completion: the access, then opDone. */
+    void completeOp(Process &proc, UserOp *op, Access acc, Addr pa,
+                    After after);
     void opDone(Process &proc, After after);
+    /** Let a running process go on past its op: resume the coroutine,
+     *  or issue a poll's next load while its condition is false. */
+    void continueProcess(Process &proc);
+    /** Stand the poll's next loads in as a repeat of @p period. */
+    void elidePoll(Process &proc, UserOp *op, Addr pa, Tick period);
+    /**
+     * Turn an elided poll's pending load into a real cpu.op and
+     * credit the loads elided so far. Called before anything that
+     * could change a poll's outcome or cost: a write to the word, a
+     * preemption, and every kernel path that kills a process or
+     * touches a page table, the TLB or the proxy-translation cache.
+     */
+    void materializePoll();
+    static void onPollWordWritten(void *kernel);
     void dispatch();
     void resumeProcess(Process &proc);
     void onProcessExit(Process &proc);
@@ -506,6 +542,16 @@ class Kernel
     bool preemptPending_ = false;
     sim::EventHandle quantumEvent_;
 
+    /** The running process's elided poll (proc == nullptr: none). */
+    struct ElidedPoll
+    {
+        Process *proc = nullptr;
+        UserOp *op = nullptr;
+        Addr paddr = 0;
+        sim::EventHandle repeat;
+    };
+    ElidedPoll elided_;
+
     std::vector<FrameInfo> frames_;
     std::vector<std::uint64_t> freeFrames_;
     std::size_t clockHand_ = 0;
@@ -521,6 +567,12 @@ class Kernel
     stats::Scalar i1Invals_;
     stats::Scalar i2Shootdowns_;
     stats::Scalar i3DirtyFaults_;
+    /** pollUntil loads: dispatched, and elided in repeats that have
+     *  ended; the formulas add the live repeat's firings on read. */
+    std::uint64_t pollsDispatched_ = 0;
+    std::uint64_t pollsElidedSettled_ = 0;
+    stats::Formula polls_;
+    stats::Formula pollsElided_;
     /** Fault-handler latency, microseconds. */
     stats::Histogram faultUs_{0, 64, 16};
     stats::Formula freeFramesNow_;

@@ -46,9 +46,32 @@ class OpAwaitable
 
     std::uint64_t await_resume() const { return op_.result.value; }
 
+  protected:
+    const OpResult &result() const { return op_.result; }
+
   private:
     Process &proc_;
     UserOp op_;
+};
+
+/** What a spin poll saw: the value that ended it and its load count. */
+struct PollResult
+{
+    std::uint64_t value = 0;
+    std::uint64_t polls = 0;
+};
+
+/** Awaitable wrapper around one Poll op. */
+class PollAwaitable : public OpAwaitable
+{
+  public:
+    using OpAwaitable::OpAwaitable;
+
+    PollResult
+    await_resume() const
+    {
+        return PollResult{result().value, result().polls};
+    }
 };
 
 /** Per-process handle for issuing simulated operations. */
@@ -80,6 +103,29 @@ class UserContext
         op.vaddr = va;
         op.value = value;
         return OpAwaitable(proc_, std::move(op));
+    }
+
+    /**
+     * Spin on the 64-bit word at @p va: load it until @p until holds
+     * for the loaded value. Performs exactly the loads, with exactly
+     * the timing, of the loop
+     *
+     *   do { v = co_await load(va); ++polls; } while (!until(v));
+     *
+     * but on a memory word the kernel dispatches an event only when
+     * the outcome can change (a write to the word, a preemption, a
+     * change to the process's mappings); the loads in between are
+     * elided and credited exactly. Proxy-space words are loaded one
+     * op at a time. @p until must be a pure function of the value.
+     */
+    PollAwaitable
+    pollUntil(Addr va, std::function<bool(std::uint64_t)> until)
+    {
+        UserOp op;
+        op.kind = UserOp::Kind::Poll;
+        op.vaddr = va;
+        op.until = std::move(until);
+        return PollAwaitable(proc_, std::move(op));
     }
 
     /** Retire @p instructions of (cached) computation. */

@@ -27,6 +27,8 @@ struct OpResult
 {
     /** Loaded value (loads and some syscalls). */
     std::uint64_t value = 0;
+    /** Loads a Poll performed, elided ones included. */
+    std::uint64_t polls = 0;
 };
 
 /** Control block a syscall implementation fills in. */
@@ -50,6 +52,7 @@ struct UserOp
         Compute, ///< retire N instructions (cached work)
         Yield,   ///< voluntarily give up the CPU
         Syscall, ///< trap into the kernel
+        Poll,    ///< 64-bit loads from vaddr until `until` holds
     };
 
     Kind kind = Kind::Compute;
@@ -57,6 +60,8 @@ struct UserOp
     std::uint64_t value = 0; ///< store datum / instruction count
     /** Syscall body, run in kernel context at dispatch time. */
     std::function<void(Kernel &, Process &, SyscallControl &)> syscall;
+    /** Poll exit condition, applied to each loaded value. */
+    std::function<bool(std::uint64_t)> until;
 
     OpResult result;
 };

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace shrimp::sim
 {
@@ -31,6 +32,9 @@ EventQueue::scheduleStamped(Tick when, std::uint64_t stamp,
     rec.seq = stamp;
     rec.name = name;
     rec.fn = std::move(fn);
+    rec.period = 0;
+    rec.firings = 0;
+    rec.tally = nullptr;
     rec.prio = static_cast<std::int32_t>(prio);
     rec.inUse = true;
 
@@ -40,6 +44,35 @@ EventQueue::scheduleStamped(Tick when, std::uint64_t stamp,
     std::push_heap(heap_.begin(), heap_.end(), After{});
     ++liveEvents_;
     return EventHandle(slot + 1, rec.gen);
+}
+
+EventHandle
+EventQueue::scheduleRepeat(Tick when, Tick period, const char *name,
+                           EventPriority prio, std::uint64_t *tally)
+{
+    SHRIMP_ASSERT(period > 0, "elided repeat '", name ? name : "?",
+                  "' needs a nonzero period");
+    EventHandle h = schedule(when, name, EventCallback(), prio);
+    Record &rec = slots_[h.slotPlus1_ - 1];
+    rec.period = period;
+    rec.tally = tally;
+    return h;
+}
+
+std::uint64_t
+EventQueue::materialize(EventHandle h, EventCallback fn)
+{
+    SHRIMP_ASSERT(h.valid() && h.slotPlus1_ - 1 < slots_.size(),
+                  "materializing an invalid handle");
+    Record &rec = slots_[h.slotPlus1_ - 1];
+    SHRIMP_ASSERT(rec.inUse && rec.gen == h.gen_ && rec.period != 0,
+                  "materializing something that is not a pending repeat");
+    // The heap entry already carries the pending firing's key; only
+    // the record changes from repeat to ordinary event.
+    rec.period = 0;
+    rec.tally = nullptr;
+    rec.fn = std::move(fn);
+    return std::exchange(rec.firings, 0);
 }
 
 bool
@@ -112,10 +145,42 @@ EventQueue::maybeCompact()
 }
 
 void
-EventQueue::fire(const HeapEntry &e)
+EventQueue::fire(const HeapEntry &e, Tick repeat_through)
 {
     Record &rec = slots_[e.slot];
     SHRIMP_ASSERT(rec.when >= curTick_, "time went backwards");
+    if (rec.period != 0) {
+        // An elided repeat: each firing is the callback that only
+        // re-schedules itself, so it moves the clock, counts, and
+        // allocates its successor's stamp; nothing else. Successive
+        // firings that stay ahead of every other pending event (and
+        // within the caller's limit) are taken here without going
+        // back through the heap.
+        dropStale();
+        const HeapEntry *other = heap_.empty() ? nullptr : &heap_.front();
+        HeapEntry next = e;
+        std::uint64_t n = 0;
+        do {
+            curTick_ = next.when;
+            ++n;
+            SHRIMP_ASSERT(next.when <= maxTick - rec.period,
+                          "elided repeat ran past the end of time");
+            next.when += rec.period;
+            next.seq = allocStamp();
+        } while (next.when <= repeat_through
+                 && (!other || After{}(*other, next)));
+        lastFired_ = curTick_;
+        executed_ += n;
+        elided_ += n;
+        rec.firings += n;
+        if (rec.tally)
+            *rec.tally += n;
+        rec.when = next.when;
+        rec.seq = next.seq;
+        heap_.push_back(next);
+        std::push_heap(heap_.begin(), heap_.end(), After{});
+        return;
+    }
     curTick_ = rec.when;
     lastFired_ = rec.when;
     flight_.record(rec.when, rec.name, rec.prio);
@@ -144,7 +209,18 @@ EventQueue::step()
     dropStale();
     if (heap_.empty())
         return false;
-    fire(popEntry());
+    // A repeat's successor is never due by tick 0: one firing.
+    fire(popEntry(), 0);
+    return true;
+}
+
+bool
+EventQueue::stepWithin(Tick limit)
+{
+    dropStale();
+    if (heap_.empty() || heap_.front().when > limit)
+        return false;
+    fire(popEntry(), limit);
     return true;
 }
 
@@ -160,7 +236,7 @@ EventQueue::run(Tick limit)
             curTick_ = limit;
             return curTick_;
         }
-        fire(popEntry());
+        fire(popEntry(), limit);
     }
     return curTick_;
 }
@@ -176,7 +252,7 @@ EventQueue::runUntil(const std::function<bool()> &pred, Tick limit)
             curTick_ = limit;
             return curTick_;
         }
-        fire(popEntry());
+        fire(popEntry(), limit);
     }
     return curTick_;
 }

@@ -39,6 +39,15 @@
  * generation mismatch); when stale entries exceed half the heap the
  * queue compacts, bounding both memory and comparator work under
  * cancel-heavy workloads.
+ *
+ * An *elided repeat* (scheduleRepeat) is a periodic event that fires
+ * without dispatching anything: the kernel's spin-poll loop, whose
+ * every iteration would otherwise be one callback that re-schedules
+ * itself. A firing keeps the exact bookkeeping of that callback —
+ * clock, executed count, the stamp its successor carries — so the
+ * order of every other event and every counter are unchanged, and
+ * materialize() later turns the pending firing into a real event
+ * with the same key. Its cost is a few increments, not a dispatch.
  */
 
 #ifndef SHRIMP_SIM_EVENT_QUEUE_HH
@@ -351,6 +360,43 @@ class EventQueue
     }
 
     /**
+     * Schedule an elided repeat: an event that fires at @p when,
+     * when + period, when + 2 period, ... at priority @p prio and
+     * dispatches nothing. Each firing stands in exactly for a callback
+     * whose only action is to schedule its successor @p period ticks
+     * later: it advances now() and lastFiredTick(), counts in
+     * eventsExecuted() (and eventsElided(), not eventsDispatched()),
+     * adds one to *@p tally when one is given, and allocates the stamp
+     * its successor carries. step() takes one firing; run(),
+     * runUntil() and stepWithin() take every consecutive firing that
+     * precedes the queue's next other event and is within their limit
+     * in one go. The repeat ends with materialize() or deschedule();
+     * until then the queue never drains. Firings are not recorded in
+     * the flight recorder.
+     */
+    EventHandle scheduleRepeat(Tick when, Tick period, const char *name,
+                               EventPriority prio,
+                               std::uint64_t *tally = nullptr);
+
+    /**
+     * End repeat @p h: its pending firing becomes an ordinary event
+     * with the same (tick, priority, stamp) key that dispatches @p fn.
+     * @return how many times the repeat fired.
+     */
+    std::uint64_t materialize(EventHandle h, EventCallback fn);
+
+    /** Firings so far of the pending repeat @p h (0 if @p h is not
+     *  one). */
+    std::uint64_t
+    repeatFirings(EventHandle h) const
+    {
+        if (!h.valid() || h.slotPlus1_ - 1 >= slots_.size())
+            return 0;
+        const Record &rec = slots_[h.slotPlus1_ - 1];
+        return rec.inUse && rec.gen == h.gen_ ? rec.firings : 0;
+    }
+
+    /**
      * Cancel a pending event. Returns true if the event was pending
      * and is now cancelled; false if it had already fired, was
      * already cancelled, or the slot has been recycled.
@@ -386,11 +432,27 @@ class EventQueue
      */
     Tick runUntil(const std::function<bool()> &pred, Tick limit = maxTick);
 
-    /** Execute exactly one event, if any. Returns false if empty. */
+    /** Execute exactly one event, if any (one firing of an elided
+     *  repeat). Returns false if empty. */
     bool step();
 
-    /** Total events executed over the queue's lifetime. */
+    /**
+     * Execute the next event if it is due by @p limit; an elided
+     * repeat takes all of its firings that are due by @p limit and
+     * precede the queue's next other event. Returns false when
+     * nothing is due.
+     */
+    bool stepWithin(Tick limit);
+
+    /** Total events executed over the queue's lifetime, elided repeat
+     *  firings included. */
     std::uint64_t eventsExecuted() const { return executed_; }
+
+    /** Events whose callback was invoked (executed minus elided). */
+    std::uint64_t eventsDispatched() const { return executed_ - elided_; }
+
+    /** Elided repeat firings over the queue's lifetime. */
+    std::uint64_t eventsElided() const { return elided_; }
 
     // ------------------------------------------- self-perf counters
     /** Events cancelled over the queue's lifetime. */
@@ -431,6 +493,11 @@ class EventQueue
         std::uint64_t seq = 0;
         const char *name = nullptr;
         EventCallback fn;
+        /** Elided repeat: its period (0 for an ordinary event), its
+         *  firings so far, and the caller's optional firing tally. */
+        Tick period = 0;
+        std::uint64_t firings = 0;
+        std::uint64_t *tally = nullptr;
         std::uint32_t gen = 0;
         std::int32_t prio = 0;
         bool inUse = false;
@@ -476,8 +543,13 @@ class EventQueue
     /** Release a slot back to the free list, bumping its generation. */
     void freeSlot(std::uint32_t slot);
 
-    /** Fire the event referenced by a (valid) heap entry. */
-    void fire(const HeapEntry &e);
+    /**
+     * Fire the event referenced by a (valid, popped) heap entry. An
+     * elided repeat keeps firing while its successor is due by
+     * @p repeat_through and precedes every other pending event, then
+     * goes back into the heap.
+     */
+    void fire(const HeapEntry &e, Tick repeat_through);
 
     /** Rebuild the heap without stale entries when they dominate. */
     void maybeCompact();
@@ -488,6 +560,7 @@ class EventQueue
     /** High stamp bits: the queue's source id (see setStampSource). */
     std::uint64_t stampBase_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t elided_ = 0;
     std::uint64_t cancelled_ = 0;
     std::uint64_t compactions_ = 0;
     std::uint64_t containerGrowths_ = 0;

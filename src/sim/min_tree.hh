@@ -69,6 +69,23 @@ class MinTree
 
     const Key &minKey() const { return keys_[winner()]; }
 
+    /**
+     * The smallest key among the slots other than winner(): the best
+     * of the subtree winners it beat on its way to the root, O(log n).
+     * Needs at least two slots.
+     */
+    const Key &
+    runnerUpKey() const
+    {
+        const Key *best = nullptr;
+        for (std::size_t p = cap_ + winner(); p > 1; p /= 2) {
+            const Key &k = keys_[win_[p ^ 1]];
+            if (!best || k < *best)
+                best = &k;
+        }
+        return *best;
+    }
+
   private:
     std::uint32_t
     play(std::size_t p) const

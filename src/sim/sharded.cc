@@ -75,6 +75,9 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
     }
     if (minLookahead_ == maxTick)
         minLookahead_ = 1; // single node: no pairs, value unused
+    for (unsigned s = 0; s < shards_; ++s)
+        shardStates_[s].directLookahead =
+            pairL_[std::size_t(s) * shards_ + s];
     nextEvent_.resize(shards_, maxTick);
 }
 
@@ -319,7 +322,7 @@ ShardedEngine::executeShard(unsigned s)
     // (tick, priority) order, ties to the lower node, so a direct
     // same-shard delivery one tick out is observed at its exact time.
     st.rebuildTree();
-    while (st.stepNext(end)) {
+    while (st.stepNext(end, /*batch=*/true)) {
     }
 }
 
@@ -332,7 +335,7 @@ ShardedEngine::noteError()
 }
 
 void
-ShardedEngine::workerBody(unsigned worker)
+ShardedEngine::workerBody(unsigned worker, std::uint64_t start_ns)
 {
     // One round: barrier (completion plans every shard's window) ->
     // drain own inbox -> execute own window -> publish the promises
@@ -342,7 +345,7 @@ ShardedEngine::workerBody(unsigned worker)
     // the plan bucket (there is no separate sync barrier any more).
     ShardProfiler *prof =
         (profiler_ && profiler_->running()) ? profiler_ : nullptr;
-    std::uint64_t t = prof ? prof->nowNs() : 0;
+    std::uint64_t t = start_ns;
     ShardState &st = shardStates_[worker];
     auto executedHere = [&]() {
         std::uint64_t n = 0;
@@ -396,6 +399,10 @@ ShardedEngine::workerBody(unsigned worker)
 Tick
 ShardedEngine::runWindows(const std::function<bool()> *pred, Tick limit)
 {
+    // Every worker's profile starts here: the entry drain and thread
+    // start-up are wait before the first plan, not unaccounted gaps.
+    const std::uint64_t start_ns =
+        (profiler_ && profiler_->running()) ? profiler_->nowNs() : 0;
     // Mailboxes may hold messages from a previous partial run (e.g. a
     // runSetup that stopped mid-window); deliver them first so the
     // first plan sees every pending event.
@@ -417,8 +424,9 @@ ShardedEngine::runWindows(const std::function<bool()> *pred, Tick limit)
     std::vector<std::thread> threads;
     threads.reserve(workers - 1);
     for (unsigned w = 1; w < workers; ++w)
-        threads.emplace_back([this, w] { workerBody(w); });
-    workerBody(0);
+        threads.emplace_back(
+            [this, w, start_ns] { workerBody(w, start_ns); });
+    workerBody(0, start_ns);
     for (auto &t : threads)
         t.join();
     const std::uint64_t spins = barrier_->spinWakes();
@@ -479,7 +487,9 @@ ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
         const Tick window_end = windowEndFor(next, limit);
         ++windows_;
         bool stop = false;
-        while (earliest().stepNext(window_end)) {
+        // One firing per step: the predicate is checked after every
+        // event, so a repeat must not run ahead of the other queues.
+        while (earliest().stepNext(window_end, /*batch=*/false)) {
             if (pred()) {
                 stop = true;
                 break;
@@ -510,6 +520,15 @@ ShardedEngine::eventsExecuted() const
     std::uint64_t n = 0;
     for (const auto &q : queues_)
         n += q->eventsExecuted();
+    return n;
+}
+
+std::uint64_t
+ShardedEngine::eventsDispatched() const
+{
+    std::uint64_t n = 0;
+    for (const auto &q : queues_)
+        n += q->eventsDispatched();
     return n;
 }
 

@@ -51,6 +51,7 @@
 #ifndef SHRIMP_SIM_SHARDED_HH
 #define SHRIMP_SIM_SHARDED_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -298,6 +299,10 @@ class ShardedEngine : public NodeRouter
     /** Sum of per-queue executed-event counts. */
     std::uint64_t eventsExecuted() const;
 
+    /** Sum of per-queue dispatched-event counts (executed minus
+     *  elided repeat firings). */
+    std::uint64_t eventsDispatched() const;
+
     /**
      * Pending events: the per-queue counts plus any cross-shard
      * messages still staged in mailboxes (posted but not yet drained
@@ -390,6 +395,9 @@ class ShardedEngine : public NodeRouter
         std::vector<CrossMsg> drainBuf;
         /** Same-shard cross-node posts delivered directly. */
         std::uint64_t directPosts = 0;
+        /** A direct post lands at least this far past its poster's
+         *  clock: the shard's diagonal of the lookahead matrix. */
+        Tick directLookahead = 1;
 
         /** Refill the tree from the queues' next-event keys. */
         void
@@ -401,9 +409,15 @@ class ShardedEngine : public NodeRouter
         }
 
         /** Fire the tree's winner if it is due by @p end (inclusive)
-         *  and replay its path; false when nothing is due. */
+         *  and replay its path; false when nothing is due. With
+         *  @p batch (and two or more queues) an elided repeat takes,
+         *  in this one step, every firing before its queue's next
+         *  other event, up to @p end and to the tick before the
+         *  earliest direct post another queue could still land: its
+         *  next event tick plus directLookahead. Without @p batch,
+         *  one firing. */
         bool
-        stepNext(Tick end)
+        stepNext(Tick end, bool batch)
         {
             const std::size_t i = tree.winner();
             const Tick when = tree.key(i).first;
@@ -411,7 +425,15 @@ class ShardedEngine : public NodeRouter
             // filter when the horizon itself is maxTick.
             if (when > end || when == maxTick)
                 return false;
-            queues[i]->step();
+            if (batch) {
+                const Tick others = tree.runnerUpKey().first;
+                const Tick safe = others >= maxTick - directLookahead
+                                      ? maxTick
+                                      : others + directLookahead - 1;
+                queues[i]->stepWithin(std::min(end, safe));
+            } else {
+                queues[i]->step();
+            }
             tree.update(i, queues[i]->nextEventKey());
             return true;
         }
@@ -463,7 +485,9 @@ class ShardedEngine : public NodeRouter
      *  queue directly, several in the tree's merged order. */
     void executeShard(unsigned s);
 
-    void workerBody(unsigned worker);
+    /** One worker's rounds; its profile starts at @p start_ns (the
+     *  run's start, so thread start-up lands in the plan bucket). */
+    void workerBody(unsigned worker, std::uint64_t start_ns);
     void noteError();
 
     Tick runWindows(const std::function<bool()> *pred, Tick limit);

@@ -1,9 +1,29 @@
 #include "sim/stats.hh"
 
+#include <cmath>
+#include <cstdint>
+#include <ostream>
+
 #include "sim/json.hh"
 
 namespace shrimp::stats
 {
+
+namespace
+{
+
+/** Integral values (counters) print exactly; the stream's default six
+ *  significant digits would round any count past a million. */
+void
+writeValue(std::ostream &os, double v)
+{
+    if (std::isfinite(v) && std::abs(v) < 9.0e15 && v == std::trunc(v))
+        os << std::int64_t(v);
+    else
+        os << v;
+}
+
+} // namespace
 
 // --- TextDumper ---
 
@@ -17,7 +37,8 @@ void
 TextDumper::scalar(const std::string &name, const std::string &desc,
                    const Scalar &s)
 {
-    os_ << group_ << '.' << name << ' ' << s.value();
+    os_ << group_ << '.' << name << ' ';
+    writeValue(os_, s.value());
     if (!desc.empty())
         os_ << "   # " << desc;
     os_ << '\n';
@@ -75,7 +96,8 @@ void
 TextDumper::formula(const std::string &name, const std::string &desc,
                     const Formula &f)
 {
-    os_ << group_ << '.' << name << ' ' << f.value();
+    os_ << group_ << '.' << name << ' ';
+    writeValue(os_, f.value());
     if (!desc.empty())
         os_ << "   # " << desc;
     os_ << '\n';

@@ -102,6 +102,7 @@ class Mmu
 
     const AddressLayout &layout() const { return layout_; }
     const Tlb &tlb() const { return tlb_; }
+    Tlb &tlb() { return tlb_; }
 
   private:
     const AddressLayout &layout_;

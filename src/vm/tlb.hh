@@ -79,6 +79,11 @@ class Tlb
     void flushAll() { slots_.clear(); }
 
     std::uint64_t hits() const { return hits_; }
+
+    /** The hit counter itself, for hits proven without a probe: the
+     *  event queue adds the kernel's elided spin-poll loads to it. */
+    std::uint64_t *hitTally() { return &hits_; }
+
     std::uint64_t misses() const { return misses_; }
     std::size_t entries() const { return slots_.size(); }
 

@@ -33,7 +33,9 @@ TEST(StatsDump, EmitsAllComponentCounters)
     std::string out = os.str();
 
     for (const char *key :
-         {"sim.ticks ", "sim.events ", "net.bytesRouted ",
+         {"sim.ticks ", "sim.events ", "sim.events_dispatched ",
+          "net.bytesRouted ", "node0.kernel.polls ",
+          "node0.kernel.polls_elided ",
           "node0.kernel.contextSwitches ", "node0.kernel.pageFaults ",
           "node0.udma0.transfersStarted ", "node0.ni.messagesSent ",
           "node0.bus.bursts ", "node0.tlb.hits ",
@@ -71,4 +73,44 @@ TEST(StatsDump, ValuesReflectActivity)
     EXPECT_NE(out.find("node0.udma0.engine.bytesMoved 512"),
               std::string::npos)
         << out;
+}
+
+TEST(StatsDump, PollCountersSplitModelledFromDispatchedEvents)
+{
+    SystemConfig cfg;
+    cfg.nodes = 1;
+    cfg.node.memBytes = 4 << 20;
+    System sys(cfg);
+
+    Addr word = 0;
+    os::Process &p = sys.node(0).kernel().spawn(
+        "p", [&](os::UserContext &ctx) -> sim::ProcTask {
+            word = co_await ctx.sysAllocMemory(4096);
+            co_await ctx.store(word, 0);
+            co_await pollWord(ctx, word, 1);
+        });
+    // About 1000 loads (150 ns each) of spinning before the word flips.
+    sys.eq().schedule(Tick(150) * tickUs, "flip", [&] {
+        const std::uint64_t one = 1;
+        sys.node(0).kernel().pokeBytes(p, word, &one, sizeof one);
+    });
+    sys.runUntilAllDone();
+
+    os::Kernel &k = sys.node(0).kernel();
+    EXPECT_GT(k.polls(), 800u);
+    // The first load, the one after the write, and nothing between.
+    EXPECT_EQ(k.polls() - k.pollsElided(), 2u);
+    EXPECT_EQ(sys.simEvents() - sys.simEventsDispatched(),
+              k.pollsElided());
+
+    std::ostringstream txt;
+    sys.dumpStats(txt);
+    EXPECT_NE(txt.str().find("sim.events_dispatched "
+                             + std::to_string(sys.simEventsDispatched())),
+              std::string::npos)
+        << txt.str();
+    std::ostringstream json;
+    sys.dumpStatsJson(json);
+    EXPECT_NE(json.str().find("\"events_dispatched\":"), std::string::npos);
+    EXPECT_NE(json.str().find("\"polls_elided\":"), std::string::npos);
 }

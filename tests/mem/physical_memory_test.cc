@@ -85,3 +85,40 @@ TEST(PhysicalMemory, EdgeOfMemoryIsAccessible)
     m.write<std::uint8_t>(4095, 0x7f);
     EXPECT_EQ(m.read<std::uint8_t>(4095), 0x7f);
 }
+
+TEST(PhysicalMemory, WatchFiresOnceOnTheFirstOverlappingWrite)
+{
+    PhysicalMemory mem(16 * 4096, 4096);
+    struct Seen
+    {
+        PhysicalMemory *mem;
+        int calls = 0;
+        std::uint64_t value = 0;
+    } seen{&mem};
+    auto note = [](void *ctx) {
+        auto *s = static_cast<Seen *>(ctx);
+        ++s->calls;
+        s->value = s->mem->read<std::uint64_t>(0x2008); // bytes landed
+    };
+    mem.watch(0x2008, 8, note, &seen);
+    mem.write<std::uint64_t>(0x2000, 1);  // ends just before the word
+    mem.write<std::uint64_t>(0x2010, 2);  // starts just after it
+    EXPECT_EQ(seen.calls, 0);
+    mem.write<std::uint32_t>(0x200C, 0xAB); // overlaps its high half
+    EXPECT_EQ(seen.calls, 1);
+    EXPECT_EQ(seen.value, std::uint64_t(0xAB) << 32);
+    mem.write<std::uint64_t>(0x2008, 3); // the watch is gone
+    EXPECT_EQ(seen.calls, 1);
+
+    mem.watch(0x2008, 8, note, &seen);
+    mem.zeroFrame(1); // another frame
+    EXPECT_EQ(seen.calls, 1);
+    mem.zeroFrame(2);
+    EXPECT_EQ(seen.calls, 2);
+    EXPECT_EQ(seen.value, 0u);
+
+    mem.watch(0x2008, 8, note, &seen);
+    mem.unwatch();
+    mem.write<std::uint64_t>(0x2008, 4);
+    EXPECT_EQ(seen.calls, 2);
+}

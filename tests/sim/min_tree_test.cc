@@ -116,3 +116,28 @@ TEST(MinTree, MatchesALinearScanUnderRandomUpdates)
         }
     }
 }
+
+TEST(MinTree, RunnerUpIsTheSmallestKeyOfTheOtherSlots)
+{
+    Random rng(11);
+    for (std::size_t n = 2; n <= 70; ++n) {
+        MinTree<Key> t;
+        t.reset(n, padKey);
+        std::vector<Key> keys(n);
+        for (std::size_t i = 0; i < n; ++i)
+            t.set(i, keys[i] = drawKey(rng));
+        t.build();
+        for (int step = 0; step < 40; ++step) {
+            const std::size_t w = linearWinner(keys);
+            Key other = padKey;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (i != w && keys[i] < other)
+                    other = keys[i];
+            }
+            ASSERT_EQ(t.winner(), w) << "n=" << n;
+            ASSERT_EQ(t.runnerUpKey(), other) << "n=" << n;
+            const std::size_t i = rng.below(n);
+            t.update(i, keys[i] = drawKey(rng));
+        }
+    }
+}
