@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hh"
@@ -43,6 +44,8 @@ main(int argc, char **argv)
         double udma_us = ticksToUs(udma.delivered - udma.sendStart);
         if (crossover == 0 && udma_us < pio_us)
             crossover = n;
+        report.addMetric("pio_us_" + std::to_string(n), pio_us);
+        report.addMetric("udma_us_" + std::to_string(n), udma_us);
         std::printf("%10llu %14.2f %14.2f %12.2f %12.2f\n",
                     (unsigned long long)n, pio_us, udma_us,
                     pio.bandwidthBytesPerUs() * 1e6 / (1 << 20),

@@ -12,6 +12,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -242,6 +243,30 @@ class BenchReport
     std::uint64_t systemsCaptured_ = 0;
     const sim::ShardProfiler *profiler_ = nullptr;
 };
+
+/**
+ * Extract "key": <number> from a flat JSON file with a crude scan —
+ * enough for the committed-baseline gates without a JSON parser
+ * dependency in bench/. Tolerates a quoted value ("key": "4"), which
+ * is how the report writes params.
+ */
+inline bool
+scanJsonNumber(const std::string &text, const std::string &key,
+               double &out)
+{
+    std::string needle = "\"" + key + "\":";
+    auto pos = text.find(needle);
+    if (pos == std::string::npos)
+        return false;
+    pos += needle.size();
+    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t'))
+        ++pos;
+    if (pos < text.size() && text[pos] == '"')
+        ++pos;
+    char *end = nullptr;
+    out = std::strtod(text.c_str() + pos, &end);
+    return end != text.c_str() + pos;
+}
 
 /** Feed the active report (if any) from a finished System. */
 inline void

@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hh"
@@ -53,11 +54,14 @@ main(int argc, char **argv)
     for (auto n : sizes) {
         auto t = bench::timeUdmaMessage(n, params);
         double bw = t.bandwidthBytesPerUs();
+        const double us = ticksToUs(t.delivered - t.sendStart);
+        const double pct = 100.0 * bw / max_bw;
         std::printf("%10llu %12.2f %12.2f %9.1f%% %10llu\n",
-                    (unsigned long long)n,
-                    ticksToUs(t.delivered - t.sendStart),
-                    bw * 1e6 / (1 << 20), 100.0 * bw / max_bw,
+                    (unsigned long long)n, us, bw * 1e6 / (1 << 20), pct,
                     (unsigned long long)t.transfers);
+        // Every row machine-readable, so a test can pin the figure.
+        report.addMetric("time_us_" + std::to_string(n), us);
+        report.addMetric("pct_max_" + std::to_string(n), pct);
     }
 
     std::printf("\n# Paper anchors: >50%% at 512 B; ~94%% at 4 KB; "

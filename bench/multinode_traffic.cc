@@ -8,11 +8,12 @@
  * node streaming into node 0 (N-1 credit windows converging on one
  * receive FIFO — the congestion-control stress case).
  *
- * Doubles as the sharded-simulation-core benchmark. With --shards=N
- * (or auto) the same configuration is run twice, on one shard and on
- * N shards; the run fails loudly unless both produce bit-identical
- * simulated time and counters (workload::RingResult::digest), and the
- * host wall-clock ratio is reported as the parallel speedup.
+ * Doubles as the simulation-engine benchmark. With --shards=N (N > 1,
+ * or auto) the same configuration is run twice, on one worker and on
+ * N; the run fails loudly unless both produce bit-identical simulated
+ * time and counters (workload::RingResult::digest), and the host
+ * wall-clock ratio against the one-worker run — the fastest
+ * sequential path — is reported as the parallel speedup.
  *
  * Output: BENCH_multinode.json via --stats-json=<path>. With
  * --check-against=<committed.json> the simulated-time metrics must
@@ -55,30 +56,6 @@ using namespace shrimp::core;
 
 namespace
 {
-
-/**
- * Extract "key": <number> from a flat JSON file with a crude scan —
- * enough for the committed-baseline gate without a JSON parser
- * dependency in bench/. Tolerates a quoted value ("key": "4"), which
- * is how the report writes params.
- */
-bool
-scanJsonNumber(const std::string &text, const std::string &key,
-               double &out)
-{
-    std::string needle = "\"" + key + "\":";
-    auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t'))
-        ++pos;
-    if (pos < text.size() && text[pos] == '"')
-        ++pos;
-    char *end = nullptr;
-    out = std::strtod(text.c_str() + pos, &end);
-    return end != text.c_str() + pos;
-}
 
 void
 printRun(const char *label, const workload::RingResult &r)
@@ -218,9 +195,8 @@ main(int argc, char **argv)
     std::unique_ptr<sim::ShardProfiler> profiler;
     std::unique_ptr<sim::TraceSink> sink;
     if (!opts.profilePath.empty()) {
-        profiler = std::make_unique<sim::ShardProfiler>(
-            std::max(shards, 1u));
-        sink = std::make_unique<sim::TraceSink>(std::max(shards, 1u));
+        profiler = std::make_unique<sim::ShardProfiler>(shards);
+        sink = std::make_unique<sim::TraceSink>(shards);
         profiler->setTraceSink(sink.get());
         // Keep enough finished spans for useful sim-time tracks (the
         // default retention is sized for summaries, not traces).
@@ -245,69 +221,67 @@ main(int argc, char **argv)
     double speedup = 0;
     bool identical = true;
 
-    if (shards > 0) {
-        // Reference run on one shard: same engine, same canonical
-        // ordering, no parallelism.
+    // With several workers the same configuration first runs on one
+    // worker: the fastest sequential path, so it is both the
+    // determinism reference and the speedup's denominator. With one
+    // worker the measured run is that sequential run.
+    workload::RingResult r1;
+    if (shards > 1) {
         workload::RingConfig seq = cfg;
         seq.shards = 1;
-        workload::RingResult r1 = workload::runRing(seq);
+        r1 = workload::runRing(seq);
         printRun("shards=1:", r1);
+    }
 
-        workload::RingConfig par = cfg;
-        par.shards = shards;
-        par.profiler = profiler.get();
-        par.onSystemDone = [](core::System &sys) {
-            bench::captureSystem(sys);
+    workload::RingConfig measured = cfg;
+    measured.shards = shards;
+    measured.profiler = profiler.get();
+    measured.onSystemDone = [](core::System &sys) {
+        bench::captureSystem(sys);
+    };
+    if (sink) {
+        // Only the measured run's spans and fault events belong in
+        // the trace.
+        span::registry().clear();
+        sim::TraceSink::setGlobal(sink.get());
+    }
+    result = workload::runRing(measured);
+    sim::TraceSink::setGlobal(nullptr);
+    char label[32];
+    std::snprintf(label, sizeof label, "shards=%u:", shards);
+    printRun(label, result);
+
+    if (shards > 1) {
+        const struct
+        {
+            const char *name;
+            std::uint64_t seq, par;
+            bool hex;
+        } fields[] = {
+            {"digest", r1.digest, result.digest, true},
+            {"sim_ticks", r1.simTicks, result.simTicks, false},
+            {"sim_events", r1.simEvents, result.simEvents, false},
+            {"bytes_routed", r1.bytesRouted, result.bytesRouted, false},
+            {"bytes_deliv", r1.bytesDelivered, result.bytesDelivered,
+             false},
+            {"retransmits", r1.retransmits, result.retransmits, false},
+            {"timeouts", r1.timeouts, result.timeouts, false},
+            {"data_digest", r1.dataDigest, result.dataDigest, true},
         };
-        if (sink) {
-            // Only the measured run's spans and fault events belong
-            // in the trace.
-            span::registry().clear();
-            sim::TraceSink::setGlobal(sink.get());
-        }
-        result = workload::runRing(par);
-        sim::TraceSink::setGlobal(nullptr);
-        char label[32];
-        std::snprintf(label, sizeof label, "shards=%u:", shards);
-        printRun(label, result);
-
-        identical = r1.digest == result.digest
-                    && r1.simTicks == result.simTicks
-                    && r1.simEvents == result.simEvents
-                    && r1.bytesRouted == result.bytesRouted
-                    && r1.bytesDelivered == result.bytesDelivered
-                    && r1.retransmits == result.retransmits
-                    && r1.timeouts == result.timeouts
-                    && r1.dataDigest == result.dataDigest;
+        for (const auto &f : fields)
+            identical = identical && f.seq == f.par;
         if (!identical) {
-            std::fprintf(
-                stderr,
-                "DETERMINISM VIOLATION: shards=1 vs shards=%u "
-                "diverged:\n"
-                "  digest        %016llx vs %016llx\n"
-                "  sim_ticks     %llu vs %llu\n"
-                "  sim_events    %llu vs %llu\n"
-                "  bytes_routed  %llu vs %llu\n"
-                "  bytes_deliv   %llu vs %llu\n"
-                "  retransmits   %llu vs %llu\n"
-                "  timeouts      %llu vs %llu\n"
-                "  data_digest   %016llx vs %016llx\n",
-                shards, (unsigned long long)r1.digest,
-                (unsigned long long)result.digest,
-                (unsigned long long)r1.simTicks,
-                (unsigned long long)result.simTicks,
-                (unsigned long long)r1.simEvents,
-                (unsigned long long)result.simEvents,
-                (unsigned long long)r1.bytesRouted,
-                (unsigned long long)result.bytesRouted,
-                (unsigned long long)r1.bytesDelivered,
-                (unsigned long long)result.bytesDelivered,
-                (unsigned long long)r1.retransmits,
-                (unsigned long long)result.retransmits,
-                (unsigned long long)r1.timeouts,
-                (unsigned long long)result.timeouts,
-                (unsigned long long)r1.dataDigest,
-                (unsigned long long)result.dataDigest);
+            std::fprintf(stderr,
+                         "DETERMINISM VIOLATION: shards=1 vs shards=%u "
+                         "diverged:\n",
+                         shards);
+            for (const auto &f : fields) {
+                std::fprintf(stderr,
+                             f.hex ? "  %-13s %016llx vs %016llx\n"
+                                   : "  %-13s %llu vs %llu\n",
+                             f.name, (unsigned long long)f.seq,
+                             (unsigned long long)f.par);
+            }
             // Post-mortem: the graveyard still holds both runs' last
             // events even though their Systems are gone.
             sim::FlightRecorder::dumpAll(std::cerr);
@@ -325,16 +299,6 @@ main(int argc, char **argv)
         report.addMetric("wall_s_shards", result.hostSec);
         report.addMetric("speedup", speedup);
     } else {
-        cfg.onSystemDone = [](core::System &sys) {
-            bench::captureSystem(sys);
-        };
-        if (sink) {
-            span::registry().clear();
-            sim::TraceSink::setGlobal(sink.get());
-        }
-        result = workload::runRing(cfg);
-        sim::TraceSink::setGlobal(nullptr);
-        printRun("legacy:", result);
         report.addMetric("wall_s_seq", result.hostSec);
     }
 
@@ -357,7 +321,7 @@ main(int argc, char **argv)
         // exact same bytes, exactly once.
         workload::RingConfig clean = cfg;
         clean.faults = net::FaultConfig{}; // runRing marks it specified
-        clean.shards = shards > 0 ? shards : 0;
+        clean.shards = shards;
         workload::RingResult ref = workload::runRing(clean);
         printRun("fault-free:", ref);
 
@@ -494,20 +458,15 @@ main(int argc, char **argv)
     report.addMetric("identical", identical ? 1 : 0);
 
     if (profiler) {
-        if (shards > 0) {
-            profiler->writeTable(std::cout);
-            const double acct = profiler->accountedFraction();
-            report.addMetric("profile_accounted_frac", acct);
-            report.attachProfiler(profiler.get());
-            if (acct < 0.95) {
-                std::fprintf(stderr,
-                             "PROFILE WARNING: buckets account for "
-                             "only %.1f%% of parallel wall time\n",
-                             acct * 100);
-            }
-        } else {
-            std::printf("# --profile: legacy single-queue run — no "
-                        "worker timelines, sim-time tracks only\n");
+        profiler->writeTable(std::cout);
+        const double acct = profiler->accountedFraction();
+        report.addMetric("profile_accounted_frac", acct);
+        report.attachProfiler(profiler.get());
+        if (acct < 0.95) {
+            std::fprintf(stderr,
+                         "PROFILE WARNING: buckets account for only "
+                         "%.1f%% of parallel wall time\n",
+                         acct * 100);
         }
         sink->addSpanTracks();
         if (!sink->writeFile(opts.profilePath))
@@ -554,7 +513,7 @@ main(int argc, char **argv)
         };
         for (const auto &e : exact) {
             double base = 0;
-            if (!scanJsonNumber(text, e.key, base)) {
+            if (!bench::scanJsonNumber(text, e.key, base)) {
                 std::fprintf(stderr,
                              "MULTINODE GATE ERROR: no %s in %s\n",
                              e.key, check_against.c_str());
@@ -598,7 +557,7 @@ main(int argc, char **argv)
                          host_cores);
         }
         double base_cores = 0;
-        if (scanJsonNumber(text, "host_cores", base_cores)
+        if (bench::scanJsonNumber(text, "host_cores", base_cores)
             && base_cores < 4) {
             std::fprintf(stderr,
                          "MULTINODE GATE WARNING: committed baseline "

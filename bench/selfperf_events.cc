@@ -21,8 +21,10 @@
  * Output: BENCH_selfperf.json via --stats-json=<path>. With
  * --check-against=<committed.json> the run compares its events/sec
  * against the committed baseline and exits nonzero (loudly) on a
- * regression beyond --tolerance (default 0.20) — the CI self-perf
- * gate in tools/run_checks.sh.
+ * regression beyond --tolerance (default 0.20), on any change of the
+ * udma mix's simulated event count (deterministic, so pinned
+ * exactly), and on any steady-state allocation per event — the CI
+ * self-perf gate in tools/run_checks.sh.
  */
 
 #include <chrono>
@@ -257,7 +259,7 @@ runUdmaMix(unsigned records)
     auto t1 = std::chrono::steady_clock::now();
 
     UdmaMixResult res;
-    res.simEvents = sys.eq().eventsExecuted();
+    res.simEvents = sys.simEvents();
     res.hostSec = hostSeconds(t0, t1);
 
     std::uint64_t tlb_hits = 0, tlb_misses = 0;
@@ -295,28 +297,6 @@ runUdmaMix(unsigned records)
 
     bench::captureSystem(sys);
     return res;
-}
-
-/**
- * Extract "key": <number> from a flat JSON file with a crude scan —
- * enough for the committed-baseline regression gate without a JSON
- * parser dependency in bench/.
- */
-bool
-scanJsonNumber(const std::string &text, const std::string &key,
-               double &out)
-{
-    std::string needle = "\"" + key + "\":";
-    auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size()
-           && (text[pos] == ' ' || text[pos] == '\t'))
-        ++pos;
-    char *end = nullptr;
-    out = std::strtod(text.c_str() + pos, &end);
-    return end != text.c_str() + pos;
 }
 
 } // namespace
@@ -402,13 +382,39 @@ main(int argc, char **argv)
         std::stringstream ss;
         ss << in.rdbuf();
         double base = 0;
-        if (!scanJsonNumber(ss.str(), "events_per_sec", base)
+        if (!bench::scanJsonNumber(ss.str(), "events_per_sec", base)
             || base <= 0) {
             std::fprintf(stderr,
                          "SELF-PERF GATE ERROR: no events_per_sec in "
                          "%s\n",
                          check_against.c_str());
             return 3;
+        }
+        // The udma mix is deterministic: its event count is pinned
+        // exactly, so a model change cannot hide in the rate.
+        double base_events = 0;
+        if (!bench::scanJsonNumber(ss.str(), "udma_sim_events", base_events)) {
+            std::fprintf(stderr,
+                         "SELF-PERF GATE ERROR: no udma_sim_events in "
+                         "%s\n",
+                         check_against.c_str());
+            return 3;
+        }
+        if (double(mix.simEvents) != base_events) {
+            std::fprintf(stderr,
+                         "SELF-PERF REGRESSION: udma mix ran %llu sim "
+                         "events, committed baseline %.0f (%s)\n",
+                         (unsigned long long)mix.simEvents, base_events,
+                         check_against.c_str());
+            return 1;
+        }
+        if (ev.allocsPerEvent != 0) {
+            std::fprintf(stderr,
+                         "SELF-PERF REGRESSION: %.6f heap allocations "
+                         "per event; the event core must allocate "
+                         "nothing in steady state\n",
+                         ev.allocsPerEvent);
+            return 1;
         }
         double now = ev.eventsPerSec();
         double floor = base * (1.0 - tolerance);

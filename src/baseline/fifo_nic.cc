@@ -5,9 +5,10 @@ namespace shrimp::baseline
 
 FifoNic::FifoNic(sim::EventQueue &eq, const sim::MachineParams &params,
                  NodeId node, bus::IoBus &io_bus, FifoFabric &fabric,
-                 unsigned device_index, std::uint32_t page_bytes)
+                 sim::NodeRouter &router, unsigned device_index,
+                 std::uint32_t page_bytes)
     : eq_(eq), params_(params), node_(node), fabric_(fabric),
-      deviceIndex_(device_index), pageBytes_(page_bytes)
+      router_(router), deviceIndex_(device_index), pageBytes_(page_bytes)
 {
     io_bus.attach(device_index, this);
     fabric.attach(node, this);
@@ -30,10 +31,22 @@ FifoNic::proxyLoad(const vm::Decoded &decoded, Addr paddr)
       case regRxData: {
         if (rxFifo_.empty())
             return 0;
-        std::uint64_t w = rxFifo_.front();
+        const RxWord w = rxFifo_.front();
         rxFifo_.pop_front();
         ++rxWordsStat_;
-        return w;
+        if (!ejectionPort_.empty()) {
+            rxFifo_.push_back(ejectionPort_.front());
+            ejectionPort_.pop_front();
+        }
+        // The freed slot's credit travels back like any packet.
+        router_.post(node_, w.src,
+                     eq_.now() + fabric_.minDeliveryLatency(node_, w.src),
+                     "fifonic.credit",
+                     [peer = fabric_.nic(w.src), me = node_] {
+                         peer->creditReturned(me);
+                     },
+                     sim::EventPriority::DeviceCompletion);
+        return w.word;
       }
       default:
         return 0;
@@ -64,19 +77,33 @@ FifoNic::proxyStore(const vm::Decoded &decoded, Addr paddr,
     pump();
 }
 
-std::uint32_t
-FifoNic::rxFifoFree() const
+std::uint32_t &
+FifoNic::outstanding(NodeId dst)
 {
-    return fifoWords() - std::uint32_t(rxFifo_.size());
+    if (dst >= outstanding_.size())
+        outstanding_.resize(dst + 1, 0);
+    return outstanding_[dst];
 }
 
-bool
-FifoNic::rxDeliver(std::uint64_t word)
+void
+FifoNic::rxDeliver(NodeId src, const std::vector<std::uint64_t> &words)
 {
-    if (rxFifo_.size() >= fifoWords())
-        return false;
-    rxFifo_.push_back(word);
-    return true;
+    for (std::uint64_t w : words) {
+        if (rxFifo_.size() < fifoWords() && ejectionPort_.empty())
+            rxFifo_.push_back(RxWord{w, src});
+        else
+            ejectionPort_.push_back(RxWord{w, src});
+    }
+}
+
+void
+FifoNic::creditReturned(NodeId dst)
+{
+    --outstanding(dst);
+    // A pump stalled on credits resumes; a busy one picks the credit
+    // up when its wire transaction ends.
+    if (!pumpBusy_)
+        pump();
 }
 
 void
@@ -84,48 +111,24 @@ FifoNic::pump()
 {
     if (pumpBusy_ || txFifo_.empty())
         return;
-    FifoNic *peer = fabric_.nic(destNode_);
-    // Drain up to 8 words per wire transaction.
-    std::uint32_t n = std::uint32_t(
-        std::min<std::size_t>({txFifo_.size(), 8, peer->rxFifoFree()}));
-    if (n == 0) {
-        // Receiver full: poll again after a hop delay.
-        pumpBusy_ = true;
-        eq_.scheduleIn(fabric_.hopLatency(), "fifonic.retry", [this] {
-            pumpBusy_ = false;
-            pump();
-        });
-        return;
-    }
+    const NodeId dest = destNode_;
+    FifoNic *peer = fabric_.nic(dest);
+    std::uint32_t &out = outstanding(dest);
+    // Drain up to 8 words per wire transaction, within the credits.
+    const std::uint32_t n = std::uint32_t(std::min<std::size_t>(
+        {txFifo_.size(), 8, fifoWords() - out}));
+    if (n == 0)
+        return; // out of credits: creditReturned() resumes the pump
+    out += n;
     std::vector<std::uint64_t> words(txFifo_.begin(),
                                      txFifo_.begin() + n);
     txFifo_.erase(txFifo_.begin(), txFifo_.begin() + n);
-    Tick injected = fabric_.acquireLink(node_, n * 8ull);
-    Tick arrival = injected + fabric_.routeLatency(node_, destNode_);
+    const Tick injected = fabric_.acquireLink(node_, n * 8ull, eq_.now());
     pumpBusy_ = true;
-    // With several senders the credit check can be stale by arrival
-    // time; undelivered words wait at the ejection port and retry.
-    struct Delivery
-    {
-        static void
-        run(sim::EventQueue &eq, FifoNic *peer,
-            std::vector<std::uint64_t> words, std::size_t idx)
-        {
-            while (idx < words.size() && peer->rxDeliver(words[idx]))
-                ++idx;
-            if (idx < words.size()) {
-                eq.scheduleIn(
-                    peer->fabric_.hopLatency(), "fifonic.redeliver",
-                    [&eq, peer, words = std::move(words), idx]() mutable {
-                        run(eq, peer, std::move(words), idx);
-                    },
-                    sim::EventPriority::DeviceCompletion);
-            }
-        }
-    };
-    eq_.schedule(arrival, "fifonic.deliver",
-                 [this, peer, words = std::move(words)]() mutable {
-                     Delivery::run(eq_, peer, std::move(words), 0);
+    router_.post(node_, dest, injected + fabric_.routeLatency(node_, dest),
+                 "fifonic.deliver",
+                 [peer, src = node_, words = std::move(words)] {
+                     peer->rxDeliver(src, words);
                  },
                  sim::EventPriority::DeviceCompletion);
     eq_.schedule(injected, "fifonic.pump", [this] {

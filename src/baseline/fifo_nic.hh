@@ -29,11 +29,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <vector>
 
 #include "bus/io_bus.hh"
 #include "sim/event_queue.hh"
 #include "sim/params.hh"
+#include "sim/sharded.hh"
 #include "sim/stats.hh"
 #include "vm/layout.hh"
 
@@ -46,43 +47,51 @@ class FifoNic;
  * The fabric connecting FifoNics (same link model as SHRIMP's
  * Interconnect: per-source injection serialization plus routing
  * latency). On a mesh/torus wiring the routing latency scales with
- * the dimension-order hop count; the FIFO-NIC baseline only runs in
- * legacy single-queue mode, so it charges the whole route's latency
- * up front instead of modelling per-hop link arbitration.
+ * the dimension-order hop count; the whole route's latency is charged
+ * at injection instead of modelling per-hop link arbitration.
+ *
+ * Per-node state (the NIC table and the injection-link horizons)
+ * lives in dense vectors sized only in attach(), which runs during
+ * single-threaded System construction; during a run each link slot
+ * is touched only by the worker executing its owner.
  */
 class FifoFabric
 {
   public:
-    FifoFabric(sim::EventQueue &eq, const sim::MachineParams &params,
+    FifoFabric(const sim::MachineParams &params,
                sim::TopologyConfig topo = {})
-        : eq_(eq), params_(params), topo_(topo)
+        : params_(params), topo_(topo)
     {}
 
     void
     attach(NodeId node, FifoNic *nic)
     {
-        SHRIMP_ASSERT(nics_.count(node) == 0, "node already attached");
+        if (node >= nics_.size()) {
+            nics_.resize(node + 1, nullptr);
+            linkFreeAt_.resize(node + 1, 0);
+        }
+        SHRIMP_ASSERT(!nics_[node], "node already attached");
         nics_[node] = nic;
     }
 
     FifoNic *
     nic(NodeId node) const
     {
-        auto it = nics_.find(node);
-        SHRIMP_ASSERT(it != nics_.end(), "no FIFO NIC for node ", node);
-        return it->second;
+        SHRIMP_ASSERT(node < nics_.size() && nics_[node],
+                      "no FIFO NIC for node ", node);
+        return nics_[node];
     }
 
+    /** Occupy @p src's injection link for @p bytes from @p now on;
+     *  returns the tick the last byte leaves. Only the worker
+     *  executing @p src may call this. */
     Tick
-    acquireLink(NodeId src, std::uint64_t bytes)
+    acquireLink(NodeId src, std::uint64_t bytes, Tick now)
     {
         Tick &free_at = linkFreeAt_[src];
-        Tick start = std::max(eq_.now(), free_at);
-        free_at = start + params_.linkTransfer(bytes);
+        free_at = std::max(now, free_at) + params_.linkTransfer(bytes);
         return free_at;
     }
-
-    Tick hopLatency() const { return params_.linkLatency(); }
 
     /** Routing latency of the whole src -> dst route (all hops). */
     Tick
@@ -91,15 +100,34 @@ class FifoFabric
         return topo_.hops(src, dst) * params_.linkLatency();
     }
 
+    /** Lower bound on any delivery from @p src to @p dst: one word
+     *  serialized onto the injection link plus the route. Every
+     *  cross-node post a FifoNic makes lands at least this far in
+     *  its poster's future (the engine's lookahead contract). */
+    Tick
+    minDeliveryLatency(NodeId src, NodeId dst) const
+    {
+        return params_.linkTransfer(8) + routeLatency(src, dst);
+    }
+
   private:
-    sim::EventQueue &eq_;
     const sim::MachineParams &params_;
     const sim::TopologyConfig topo_;
-    std::map<NodeId, FifoNic *> nics_;
-    std::map<NodeId, Tick> linkFreeAt_;
+    std::vector<FifoNic *> nics_;
+    std::vector<Tick> linkFreeAt_;
 };
 
-/** One node's memory-mapped FIFO NIC. */
+/**
+ * One node's memory-mapped FIFO NIC.
+ *
+ * Flow control is by credits, never by reading a peer: a sender may
+ * have at most one receive FIFO's worth of words outstanding toward
+ * each destination, and the receiver returns a word's credit by post
+ * when software pops it. Words travel as posted deliveries that run
+ * on the receiver's own queue; words that find the FIFO full (several
+ * senders converging) wait at the receiver's ejection port and enter
+ * the FIFO as software drains it.
+ */
 class FifoNic : public bus::ProxyClient
 {
   public:
@@ -110,7 +138,8 @@ class FifoNic : public bus::ProxyClient
 
     FifoNic(sim::EventQueue &eq, const sim::MachineParams &params,
             NodeId node, bus::IoBus &io_bus, FifoFabric &fabric,
-            unsigned device_index, std::uint32_t page_bytes);
+            sim::NodeRouter &router, unsigned device_index,
+            std::uint32_t page_bytes);
 
     NodeId node() const { return node_; }
     unsigned deviceIndex() const { return deviceIndex_; }
@@ -124,12 +153,6 @@ class FifoNic : public bus::ProxyClient
     void proxyStore(const vm::Decoded &decoded, Addr paddr,
                     std::int64_t value) override;
 
-    /** Peer-facing: deliver one word into the incoming FIFO.
-     *  @return false if the FIFO is full (sender must retry). */
-    bool rxDeliver(std::uint64_t word);
-
-    std::uint32_t rxFifoFree() const;
-
     std::uint64_t wordsSent() const
     {
         return std::uint64_t(txWordsStat_.value());
@@ -140,7 +163,23 @@ class FifoNic : public bus::ProxyClient
     }
 
   private:
+    /** A received word and the node whose credit it holds. */
+    struct RxWord
+    {
+        std::uint64_t word;
+        NodeId src;
+    };
+
     void pump();
+
+    /** Receiver side: words from @p src reach the ejection port. */
+    void rxDeliver(NodeId src, const std::vector<std::uint64_t> &words);
+
+    /** Sender side: @p dst freed one word of its receive FIFO. */
+    void creditReturned(NodeId dst);
+
+    /** Words sent toward @p dst whose credit has not come back. */
+    std::uint32_t &outstanding(NodeId dst);
 
     std::uint32_t fifoWords() const
     {
@@ -151,12 +190,17 @@ class FifoNic : public bus::ProxyClient
     const sim::MachineParams &params_;
     NodeId node_;
     FifoFabric &fabric_;
+    sim::NodeRouter &router_;
     unsigned deviceIndex_;
     std::uint32_t pageBytes_;
 
     NodeId destNode_ = 0;
     std::deque<std::uint64_t> txFifo_;
-    std::deque<std::uint64_t> rxFifo_;
+    std::deque<RxWord> rxFifo_;
+    /** Arrived words waiting for room in rxFifo_. */
+    std::deque<RxWord> ejectionPort_;
+    /** Indexed by destination; grown by this NIC's own worker. */
+    std::vector<std::uint32_t> outstanding_;
     bool pumpBusy_ = false;
 
     stats::Scalar txWordsStat_;

@@ -38,12 +38,13 @@ enum class Mode
     /** Audit after every kernel event and DMA completion. */
     EveryEvent,
     /**
-     * Audit only at sharded-engine window barriers, where every
-     * shard is quiescent and cross-shard state is consistent. The
-     * only mode usable with --shards > 0: the per-event hooks would
+     * Audit only at engine window barriers, where every shard is
+     * quiescent and cross-shard state is consistent. The only mode
+     * usable with more than one worker: the per-event hooks would
      * run concurrently from worker threads and read other shards'
      * state mid-window. System::enableAudit coerces the other modes
-     * to this one when sharded and wires the barrier hook.
+     * to this one when the engine has several workers and wires the
+     * barrier hook.
      */
     AtBarrier,
 };

@@ -1,5 +1,7 @@
 #include "core/system.hh"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -24,22 +26,25 @@ namespace
 {
 
 /**
- * Audit spec from `--audit=` awaiting the next System construction
- * (parseRunOptions runs before the System exists in every main).
+ * The `--faults=` / `--topo=` / `--audit=` texts parseRunOptions saw,
+ * awaiting the next System construction (every main parses its
+ * options before it builds one).
  */
-std::string g_pendingAuditSpec;
+RunOptions g_pendingFlags;
 
 /**
- * Fault spec from `--faults=` awaiting the next System construction
- * (same pattern as the audit spec above).
+ * The one precedence rule of a run spec: a filled config field
+ * (@p specified) wins and yields no text; otherwise the environment
+ * variable @p env, when set and non-empty, beats the @p flag text.
  */
-std::string g_pendingFaultSpec;
-
-/**
- * Topology spec from `--topo=` awaiting the next System construction
- * in this process (same lifecycle as the audit/fault specs above).
- */
-std::string g_pendingTopoSpec;
+std::string
+specText(bool specified, const char *env, const std::string &flag)
+{
+    if (specified)
+        return {};
+    const char *v = std::getenv(env);
+    return v && *v ? std::string(v) : flag;
+}
 
 /**
  * Honour SHRIMP_TRACE=dma,vm,os,ni,bus,xfer (or "all"): enable those
@@ -83,8 +88,8 @@ Node::Node(System &sys, NodeId id, const SystemConfig &cfg,
         if (dc.kind == DeviceKind::FifoNic) {
             devices_.emplace_back(nullptr);
             fifoNic_ = std::make_unique<baseline::FifoNic>(
-                eq, params, id, *ioBus_, sys.fifoFabric(), slot,
-                params.pageBytes);
+                eq, params, id, *ioBus_, sys.fifoFabric(), *sys.engine(),
+                slot, params.pageBytes);
             kernel_->registerDeviceWindow(
                 slot, fifoNic_->proxyExtentBytes());
             continue;
@@ -178,91 +183,75 @@ Node::deviceIndexOf(DeviceKind kind) const
     return -1;
 }
 
-/**
- * The wiring this System runs with. Mirrors the fault precedence: a
- * deliberately filled SystemConfig::topology wins; otherwise
- * SHRIMP_TOPO wins over a --topo= seen by parseRunOptions. A non-flat
- * grid that does not match the node count is a configuration error,
- * not something to silently pad: routing math indexes the grid.
- */
-static sim::TopologyConfig
-resolvedTopology(const SystemConfig &cfg)
+RunSpecs
+resolveRunSpecs(const SystemConfig &cfg, const RunOptions &flags,
+                std::ostream *err)
 {
-    sim::TopologyConfig topo = cfg.topology;
-    if (!topo.specified) {
-        const char *tenv = std::getenv("SHRIMP_TOPO");
-        std::string tspec = tenv && *tenv ? tenv : g_pendingTopoSpec;
-        if (!tspec.empty())
-            sim::parseTopologySpec(tspec, topo, &std::cerr);
-    }
-    if (!topo.flat() && topo.gridNodes() != cfg.nodes) {
-        fatal("topology ", topo.describe(), " wires ",
-              topo.gridNodes(), " nodes but the system has ",
-              cfg.nodes);
-    }
-    return topo;
+    RunSpecs specs;
+    specs.faults = cfg.faults;
+    specs.topology = cfg.topology;
+    const std::string faults =
+        specText(cfg.faults.specified, "SHRIMP_FAULTS", flags.faultSpec);
+    if (!faults.empty() && !net::parseFaultSpec(faults, specs.faults, err))
+        specs.ok = false;
+    const std::string topo =
+        specText(cfg.topology.specified, "SHRIMP_TOPO", flags.topoSpec);
+    if (!topo.empty()
+        && !sim::parseTopologySpec(topo, specs.topology, err))
+        specs.ok = false;
+    specs.audit = specText(false, "SHRIMP_AUDIT", flags.auditSpec);
+    return specs;
 }
 
 System::System(const SystemConfig &cfg)
-    : cfg_(cfg),
+    : cfg_(cfg), specs_(resolveRunSpecs(cfg, g_pendingFlags, &std::cerr)),
       layout_(cfg.node.memBytes, cfg.params.pageBytes,
               std::max<unsigned>(1, unsigned(cfg.node.devices.size()))),
-      topo_(resolvedTopology(cfg_)), net_(eq_, cfg_.params, topo_),
-      fifoFabric_(eq_, cfg_.params, topo_)
+      net_(cfg_.params, specs_.topology),
+      fifoFabric_(cfg_.params, specs_.topology)
 {
     if (cfg.nodes == 0)
         fatal("a system needs at least one node");
-    applyTraceEnv();
-    eq_.setFlightLabel("shared");
-
-    if (cfg_.shards > 0) {
-        for (const DeviceConfig &dc : cfg_.node.devices) {
-            if (dc.kind == DeviceKind::FifoNic) {
-                fatal("the FIFO-NIC baseline reads peer state "
-                      "synchronously and cannot run sharded; drop "
-                      "--shards or the FifoNic device");
-            }
-        }
-        // The synchronization horizon comes from the interconnect:
-        // nothing crosses nodes faster than the smallest packet's
-        // injection serialization plus the backplane hop — per hop of
-        // the dimension-order route, so on a mesh/torus the per-pair
-        // floor scales with distance (DESIGN.md §10, §14). The engine
-        // folds the per-pair floors into its shard-pair lookahead
-        // matrix; multi-hop forwarding re-posts at every intermediate
-        // node, so each individual post only needs the adjacent-pair
-        // floor, which the fold always covers.
-        unsigned shards = std::min(cfg_.shards, cfg_.nodes);
-        engine_ = std::make_unique<sim::ShardedEngine>(
-            cfg_.nodes, shards,
-            sim::ShardedEngine::PairLookahead(
-                [this](NodeId src, NodeId dst) {
-                    return net_.minDeliveryLatency(src, dst);
-                }));
+    if (cfg.shards < 1)
+        fatal("SystemConfig::shards must be at least 1 (got 0)");
+    // A non-flat grid that does not match the node count is a
+    // configuration error, not something to silently pad: routing
+    // math indexes the grid.
+    const sim::TopologyConfig &topo = specs_.topology;
+    if (!topo.flat() && topo.gridNodes() != cfg.nodes) {
+        fatal("topology ", topo.describe(), " wires ", topo.gridNodes(),
+              " nodes but the system has ", cfg.nodes);
     }
+    applyTraceEnv();
+
+    // The synchronization horizon comes from the fabrics: nothing
+    // crosses nodes faster than the smallest packet's injection
+    // serialization plus the route (DESIGN.md §10, §14); the engine
+    // folds these per-pair floors into its shard-pair lookahead
+    // matrix. A FIFO NIC's one-word packet undercuts the SHRIMP
+    // header, so its floor joins only when one is configured.
+    const bool fifo = std::any_of(
+        cfg.node.devices.begin(), cfg.node.devices.end(),
+        [](const DeviceConfig &dc) {
+            return dc.kind == DeviceKind::FifoNic;
+        });
+    engine_ = std::make_unique<sim::ShardedEngine>(
+        cfg.nodes, std::min(cfg.shards, cfg.nodes),
+        sim::ShardedEngine::PairLookahead([this, fifo](NodeId s, NodeId d) {
+            const Tick l = net_.minDeliveryLatency(s, d);
+            return fifo ? std::min(l, fifoFabric_.minDeliveryLatency(s, d))
+                        : l;
+        }));
 
     for (unsigned i = 0; i < cfg.nodes; ++i)
         nodes_.push_back(
             std::make_unique<Node>(*this, i, cfg_, nodeEq(i)));
 
-    // Fault injection: a deliberately filled SystemConfig::faults
-    // wins; otherwise SHRIMP_FAULTS wins over a --faults= seen by
-    // parseRunOptions (mirroring the audit precedence below).
-    net::FaultConfig fcfg = cfg_.faults;
-    if (!fcfg.specified) {
-        const char *fenv = std::getenv("SHRIMP_FAULTS");
-        std::string fspec = fenv && *fenv ? fenv : g_pendingFaultSpec;
-        if (!fspec.empty())
-            net::parseFaultSpec(fspec, fcfg, &std::cerr);
-    }
-    if (fcfg.specified)
-        net_.setFaults(fcfg);
+    if (specs_.faults.specified)
+        net_.setFaults(specs_.faults);
 
-    // SHRIMP_AUDIT wins over a --audit= seen by parseRunOptions.
-    const char *env = std::getenv("SHRIMP_AUDIT");
-    std::string spec = env && *env ? env : g_pendingAuditSpec;
-    if (!spec.empty() && !enableAudit(spec)) {
-        std::cerr << "audit: unknown mode '" << spec
+    if (!specs_.audit.empty() && !enableAudit(specs_.audit)) {
+        std::cerr << "audit: unknown mode '" << specs_.audit
                   << "' (want every-event, on-switch, at-barrier or "
                      "off)\n";
     }
@@ -276,31 +265,21 @@ System::enableAudit(const std::string &spec, bool fail_fast)
     audit::Mode mode;
     if (!audit::parseMode(spec, mode))
         return false;
-    if (engine_)
-        engine_->setBarrierHook({});
+    engine_->setBarrierHook({});
     auditor_.reset();
     if (mode == audit::Mode::Off)
         return true;
-    if (engine_) {
-        // Per-event hooks would fire concurrently on worker threads
-        // and read other shards' state mid-window; audit where the
-        // world is quiescent instead.
+    // Per-event hooks on several workers would fire concurrently and
+    // read other shards' state mid-window; audit where the world is
+    // quiescent instead. One worker runs every hook on the calling
+    // thread, so each mode is honoured as asked.
+    if (engine_->shardCount() > 1)
         mode = audit::Mode::AtBarrier;
-        auditor_ = std::make_unique<audit::Monitor>(*this, mode,
-                                                    fail_fast);
+    auditor_ = std::make_unique<audit::Monitor>(*this, mode, fail_fast);
+    if (mode == audit::Mode::AtBarrier) {
         engine_->setBarrierHook(
             [this] { auditor_->auditNow("window-barrier"); });
-        return true;
     }
-    if (mode == audit::Mode::AtBarrier) {
-        // No barriers without the sharded engine; the closest
-        // legacy equivalent is the context-switch audit.
-        std::cerr << "audit: at-barrier needs --shards > 0; "
-                     "auditing on-switch instead\n";
-        mode = audit::Mode::OnSwitch;
-    }
-    auditor_ = std::make_unique<audit::Monitor>(*this, mode,
-                                                fail_fast);
     return true;
 }
 
@@ -310,7 +289,7 @@ System::dumpStats(std::ostream &os)
     os << "sim.ticks " << simNow() << "\n";
     os << "sim.events " << simEvents() << "\n";
     os << "sim.events_dispatched " << simEventsDispatched() << "\n";
-    os << "net.topology " << topo_.describe() << "\n";
+    os << "net.topology " << specs_.topology.describe() << "\n";
     os << "net.bytesRouted " << net_.bytesRouted() << "\n";
     {
         net::FaultCounters f = net_.faults().totals();
@@ -356,7 +335,7 @@ System::dumpStatsJson(std::ostream &os)
     w.endObject();
     w.key("net");
     w.beginObject();
-    w.field("topology", topo_.describe());
+    w.field("topology", specs_.topology.describe());
     w.field("bytesRouted", net_.bytesRouted());
     {
         net::FaultCounters f = net_.faults().totals();
@@ -433,21 +412,22 @@ parseRunOptions(int &argc, char **argv)
             continue;
         }
         if (arg.rfind("--faults=", 0) == 0) {
-            std::string spec = arg.substr(std::strlen("--faults="));
-            if (!net::parseFaultSpec(spec, opts.faults, &std::cerr)) {
+            opts.faultSpec = arg.substr(std::strlen("--faults="));
+            if (!net::parseFaultSpec(opts.faultSpec, opts.faults,
+                                     &std::cerr)) {
                 opts.ok = false;
             } else {
-                g_pendingFaultSpec = spec;
+                g_pendingFlags.faultSpec = opts.faultSpec;
             }
             continue;
         }
         if (arg.rfind("--topo=", 0) == 0) {
-            std::string spec = arg.substr(std::strlen("--topo="));
-            if (!sim::parseTopologySpec(spec, opts.topology,
+            opts.topoSpec = arg.substr(std::strlen("--topo="));
+            if (!sim::parseTopologySpec(opts.topoSpec, opts.topology,
                                         &std::cerr)) {
                 opts.ok = false;
             } else {
-                g_pendingTopoSpec = spec;
+                g_pendingFlags.topoSpec = opts.topoSpec;
             }
             continue;
         }
@@ -460,7 +440,7 @@ parseRunOptions(int &argc, char **argv)
                              "at-barrier or off)\n";
                 opts.ok = false;
             } else {
-                g_pendingAuditSpec = opts.auditSpec;
+                g_pendingFlags.auditSpec = opts.auditSpec;
             }
             continue;
         }
@@ -478,36 +458,38 @@ parseRunOptions(int &argc, char **argv)
         }
         if (arg.rfind("--shards=", 0) == 0) {
             std::string spec = arg.substr(std::strlen("--shards="));
+            char *end = nullptr;
+            const unsigned long n =
+                std::strtoul(spec.c_str(), &end, 10);
             if (spec == "auto") {
                 opts.shardsAuto = true;
+            } else if (spec.empty()
+                       || !std::isdigit((unsigned char)spec[0]) || *end
+                       || n == 0 || n > 0xffffffffUL) {
+                std::cerr << "--shards: want N >= 1 or 'auto', got '"
+                          << spec << "'\n";
+                opts.ok = false;
             } else {
-                char *end = nullptr;
-                unsigned long n = std::strtoul(spec.c_str(), &end, 10);
-                if (spec.empty() || (end && *end)) {
-                    std::cerr << "--shards: want a count or 'auto', "
-                                 "got '" << spec << "'\n";
-                    opts.ok = false;
-                } else {
-                    opts.shards = unsigned(n);
-                }
+                opts.shards = unsigned(n);
             }
             continue;
         }
         argv[out++] = argv[i];
     }
     argc = out;
-    // SHRIMP_TOPO fallback has to resolve *here*, not only inside
-    // resolvedTopology(): workloads that pin their SystemConfig
-    // topology from these options (ring.cc sets specified=true so a
-    // default-constructed config stays crossbar regardless of the
-    // environment) would otherwise never see the env var at all.
-    if (!opts.topology.specified) {
-        const char *tenv = std::getenv("SHRIMP_TOPO");
-        if (tenv && *tenv
-            && !sim::parseTopologySpec(tenv, opts.topology,
-                                       &std::cerr))
-            opts.ok = false;
-    }
+    // SHRIMP_TOPO has to resolve *here* too, not only in the System:
+    // workloads that pin their SystemConfig topology from these
+    // options (ring.cc sets specified=true so a default-constructed
+    // config stays crossbar regardless of the environment) would
+    // otherwise never see it. A --topo= already filled opts.topology,
+    // so here the flag wins; faults are marked filled so only the
+    // topology is resolved.
+    SystemConfig pinned;
+    pinned.topology = opts.topology;
+    pinned.faults.specified = true;
+    const RunSpecs env = resolveRunSpecs(pinned, RunOptions{}, &std::cerr);
+    opts.topology = env.topology;
+    opts.ok = opts.ok && env.ok;
     return opts;
 }
 

@@ -2,13 +2,14 @@
  * @file
  * The public entry point: build a SHRIMP multicomputer.
  *
- * A System owns the event queue, the backplane interconnect, and N
- * identical nodes. Each node is a Pentium-Xpress-class PC: physical
- * memory, MMU, I/O (EISA) bus, a kernel, and a configurable set of
- * devices, each fronted either by a UDMA controller (the paper's
- * mechanism) or by the traditional kernel-initiated DMA driver (the
- * baseline), or — for the FIFO-NIC baseline — by a plain memory-mapped
- * interface.
+ * A System owns the simulation engine (one event queue per node, run
+ * by sim::ShardedEngine on one or more workers), the backplane
+ * interconnect, and N identical nodes. Each node is a
+ * Pentium-Xpress-class PC: physical memory, MMU, I/O (EISA) bus, a
+ * kernel, and a configurable set of devices, each fronted either by a
+ * UDMA controller (the paper's mechanism) or by the traditional
+ * kernel-initiated DMA driver (the baseline), or — for the FIFO-NIC
+ * baseline — by a plain memory-mapped interface.
  *
  * Typical use:
  *
@@ -96,33 +97,37 @@ struct SystemConfig
 {
     unsigned nodes = 1;
     /**
-     * Simulation shards (worker threads). 0 = the legacy single
-     * shared event queue. N > 0 builds one EventQueue per node and
-     * runs them on min(N, nodes) workers in conservative time windows
-     * (sim/sharded.hh); `--shards=1` and `--shards=N` produce
-     * bit-identical simulated time and counters.
+     * Simulation workers. Every node has its own EventQueue; the
+     * engine runs them on min(shards, nodes) workers in conservative
+     * time windows (sim/sharded.hh). `--shards=1` and `--shards=N`
+     * produce bit-identical simulated time and counters. Must be at
+     * least 1 (System throws FatalError on 0).
      */
-    unsigned shards = 0;
+    unsigned shards = 1;
     sim::MachineParams params;
     /**
      * Backplane wiring (sim::TopologyConfig): crossbar by default, 2D
-     * mesh/torus via `--topo=mesh:4x4` or SHRIMP_TOPO. Mirrors the
-     * faults precedence: when topology.specified is false the System
-     * falls back to the SHRIMP_TOPO environment variable or a
-     * `--topo=` spec seen by parseRunOptions; a deliberately filled
-     * config wins over both. A non-flat grid must match `nodes`
-     * exactly (fatal otherwise).
+     * mesh/torus via `--topo=mesh:4x4` or SHRIMP_TOPO, resolved by
+     * resolveRunSpecs. A non-flat grid must match `nodes` exactly
+     * (fatal otherwise).
      */
     sim::TopologyConfig topology;
     NodeConfig node;
     /**
-     * Backplane fault injection (shrimp/fault.hh). When
-     * faults.specified is false the System falls back to the
-     * SHRIMP_FAULTS environment variable or a `--faults=` spec seen
-     * by parseRunOptions; a deliberately filled config (specified ==
-     * true, even "off") wins over both.
+     * Backplane fault injection (shrimp/fault.hh): `--faults=` or
+     * SHRIMP_FAULTS, resolved by resolveRunSpecs. A deliberately
+     * filled config (specified == true, even "off") wins over both.
      */
     net::FaultConfig faults;
+};
+
+/** What resolveRunSpecs decided for one System. */
+struct RunSpecs
+{
+    net::FaultConfig faults;
+    sim::TopologyConfig topology;
+    std::string audit; ///< empty: auditing off
+    bool ok = true;    ///< false: a fault or topology text was malformed
 };
 
 class System;
@@ -131,8 +136,7 @@ class System;
 class Node
 {
   public:
-    /** @param eq The node's event queue: the System's shared queue in
-     *  legacy mode, this node's own queue under the sharded engine. */
+    /** @param eq The node's own event queue (System::nodeEq). */
     Node(System &sys, NodeId id, const SystemConfig &cfg,
          sim::EventQueue &eq);
     ~Node();
@@ -193,19 +197,10 @@ class System
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** The legacy shared queue (also the setup/host clock). Sharded
-     *  components must use nodeEq() instead. */
-    sim::EventQueue &eq() { return eq_; }
+    /** The queue node @p i's components schedule on. */
+    sim::EventQueue &nodeEq(NodeId i) { return engine_->queue(i); }
 
-    /** The queue node @p i's components schedule on: its own queue
-     *  under the sharded engine, the shared queue otherwise. */
-    sim::EventQueue &
-    nodeEq(NodeId i)
-    {
-        return engine_ ? engine_->queue(i) : eq_;
-    }
-
-    /** The sharded engine (nullptr in legacy single-queue mode). */
+    /** The engine that runs every node's queue (never nullptr). */
     sim::ShardedEngine *engine() { return engine_.get(); }
 
     const sim::MachineParams &params() const { return cfg_.params; }
@@ -216,44 +211,32 @@ class System
     unsigned nodeCount() const { return unsigned(nodes_.size()); }
     Node &node(unsigned i) { return *nodes_.at(i); }
 
-    /** Global simulated time: max of the per-node clocks when
-     *  sharded, the shared queue's clock otherwise. */
-    Tick simNow() const { return engine_ ? engine_->now() : eq_.now(); }
+    /** Global simulated time: the latest tick any node fired. */
+    Tick simNow() const { return engine_->now(); }
 
     /** Total events executed across all queues (the modelled event
      *  count: elided spin-poll loads included). */
-    std::uint64_t
-    simEvents() const
-    {
-        return engine_ ? engine_->eventsExecuted()
-                       : eq_.eventsExecuted();
-    }
+    std::uint64_t simEvents() const { return engine_->eventsExecuted(); }
 
     /** Of simEvents(), those whose callback ran: the host's work. */
     std::uint64_t
     simEventsDispatched() const
     {
-        return engine_ ? engine_->eventsDispatched()
-                       : eq_.eventsDispatched();
+        return engine_->eventsDispatched();
     }
 
     /** Run the event loop up to @p limit. */
-    Tick
-    run(Tick limit = maxTick)
-    {
-        return engine_ ? engine_->run(limit) : eq_.run(limit);
-    }
+    Tick run(Tick limit = maxTick) { return engine_->run(limit); }
 
     /**
      * Run until @p pred returns true, or all queues drain, or
-     * @p limit. Sharded: the predicate is evaluated at window
-     * barriers with every worker parked, so it may read any state.
+     * @p limit. The predicate is evaluated at window barriers with
+     * every worker parked, so it may read any state.
      */
     Tick
     runUntil(const std::function<bool()> &pred, Tick limit = maxTick)
     {
-        return engine_ ? engine_->runUntil(pred, limit)
-                       : eq_.runUntil(pred, limit);
+        return engine_->runUntil(pred, limit);
     }
 
     /**
@@ -261,13 +244,11 @@ class System
      * host-shared state (e.g. msg::Channel export/import): events of
      * all nodes are interleaved in one canonical global order on the
      * calling thread and @p pred is checked after every event.
-     * Identical to runUntil in legacy mode.
      */
     Tick
     runSetup(const std::function<bool()> &pred, Tick limit = maxTick)
     {
-        return engine_ ? engine_->runSetup(pred, limit)
-                       : eq_.runUntil(pred, limit);
+        return engine_->runSetup(pred, limit);
     }
 
     /**
@@ -293,10 +274,12 @@ class System
     /**
      * Turn on continuous invariant auditing (check/monitor.hh):
      * "on-switch" audits at context switches, "every-event" at every
-     * kernel event and DMA completion, "at-barrier" at sharded window
-     * barriers, "off" detaches. Under the sharded engine every
-     * non-off mode is coerced to at-barrier — the only point where
-     * all shards are quiescent. Returns false on an unknown spec.
+     * kernel event and DMA completion, "at-barrier" at engine window
+     * barriers, "off" detaches. With one worker every hook runs on
+     * the calling thread, so each mode is honoured as asked; with
+     * more, every non-off mode is coerced to at-barrier — the only
+     * point where all shards are quiescent. Returns false on an
+     * unknown spec.
      * With @p fail_fast the monitor throws audit::ViolationError at
      * the first violation.
      */
@@ -307,16 +290,17 @@ class System
 
   private:
     SystemConfig cfg_;
-    sim::EventQueue eq_;
-    /** Declared before nodes_: node components hold references into
-     *  its per-node queues. */
-    std::unique_ptr<sim::ShardedEngine> engine_;
+    /** Faults, wiring and audit mode (resolveRunSpecs): declared
+     *  before the fabrics, which capture the wiring by value at
+     *  construction. */
+    RunSpecs specs_;
     vm::AddressLayout layout_;
-    /** Resolved wiring (cfg / SHRIMP_TOPO / --topo): declared before
-     *  the fabrics, which capture it by value at construction. */
-    sim::TopologyConfig topo_;
     net::Interconnect net_;
     baseline::FifoFabric fifoFabric_;
+    /** Built after the fabrics (its lookahead queries them) and
+     *  before nodes_, whose components hold references into its
+     *  per-node queues. */
+    std::unique_ptr<sim::ShardedEngine> engine_;
     std::vector<std::unique_ptr<Node>> nodes_;
     /** Declared after nodes_: must detach from live kernels first. */
     std::unique_ptr<audit::Monitor> auditor_;
@@ -332,26 +316,28 @@ struct RunOptions
 {
     std::string statsJsonPath; ///< empty: no JSON dump requested
     std::string traceSpec;     ///< empty: tracing unchanged
-    std::string auditSpec;     ///< empty: invariant auditing off
+    std::string auditSpec;     ///< `--audit=` text (empty: none)
+    std::string faultSpec;     ///< `--faults=` text (empty: none)
+    std::string topoSpec;      ///< `--topo=` text (empty: none)
     std::string profilePath;   ///< `--profile=<file>`: Perfetto trace
-    unsigned shards = 0;       ///< `--shards=N` (0: legacy queue)
+    unsigned shards = 1;       ///< `--shards=N`, N >= 1
     bool shardsAuto = false;   ///< `--shards=auto` was given
     net::FaultConfig faults;   ///< `--faults=<spec>` (shrimp/fault.hh)
-    sim::TopologyConfig topology; ///< `--topo=<spec>` (sim/params.hh)
+    /** `--topo=<spec>` (sim/params.hh), else SHRIMP_TOPO. */
+    sim::TopologyConfig topology;
     bool ok = true;            ///< false: a malformed option was seen
 };
 
 /**
  * Parse and strip `--stats-json=` / `--trace=` / `--audit=` /
  * `--shards=` / `--faults=` / `--topo=` / `--profile=` from argv
- * (compacting argc/argv in place
- * so argument-consuming frameworks never see them); a `--trace=` spec
- * is applied immediately, and an `--audit=` spec (`every-event`,
- * `on-switch` or `at-barrier`), a `--faults=` spec
- * (`drop=0.05,corrupt=0.02,...`, see parseFaultSpec), or a `--topo=`
- * spec (`crossbar`, `mesh:WxH`, `torus:WxH`, see parseTopologySpec)
- * is applied to
- * the next System constructed in this process. `--shards=N|auto` is
+ * (compacting argc/argv in place so argument-consuming frameworks
+ * never see them); a `--trace=` spec is applied immediately, and an
+ * `--audit=` spec (`every-event`, `on-switch` or `at-barrier`), a
+ * `--faults=` spec (`drop=0.05,corrupt=0.02,...`, see parseFaultSpec),
+ * or a `--topo=` spec (`crossbar`, `mesh:WxH`, `torus:WxH`, see
+ * parseTopologySpec) is applied to the next System constructed in
+ * this process (resolveRunSpecs). `--shards=N|auto` (N >= 1) is
  * reported in RunOptions for the caller to place into
  * SystemConfig::shards (resolveShards maps `auto` to the host's core
  * count). Other arguments are left untouched.
@@ -359,9 +345,22 @@ struct RunOptions
 RunOptions parseRunOptions(int &argc, char **argv);
 
 /**
+ * The one resolver of the specs a System takes from outside its
+ * SystemConfig. For each of faults, topology and audit: a filled
+ * config field (`specified` true) wins; otherwise the environment
+ * variable (SHRIMP_FAULTS, SHRIMP_TOPO, SHRIMP_AUDIT), when set and
+ * non-empty, wins over the `--faults=` / `--topo=` / `--audit=` text
+ * in @p flags. Audit has no config field. A malformed fault or
+ * topology text is reported on @p err and leaves `ok` false; the
+ * audit text is returned as is (System::enableAudit judges it).
+ */
+RunSpecs resolveRunSpecs(const SystemConfig &cfg, const RunOptions &flags,
+                         std::ostream *err = nullptr);
+
+/**
  * The shard count a run should use: `auto` resolves to
  * min(nodes, hardware threads), an explicit N is clamped to the node
- * count, 0 stays 0 (legacy single queue).
+ * count.
  */
 unsigned resolveShards(const RunOptions &opts, unsigned nodes);
 

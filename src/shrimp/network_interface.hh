@@ -52,12 +52,9 @@
  * smoothly instead of collapsing under retransmit storms.
  *
  * All cross-node traffic (chunk deliveries and acks) is posted
- * through an optional sim::NodeRouter at >= one hop in the future
+ * through the engine's sim::NodeRouter at >= one hop in the future
  * (delayed or duplicated chunks land even later, never earlier, so
- * the sharded engine's lookahead rule holds under faults); without a
- * router (direct construction in tests, or the legacy single-queue
- * System) the NI schedules on its own queue, which is the same thing
- * when that queue is shared.
+ * the engine's lookahead rule holds under faults).
  *
  * On a mesh/torus topology (sim::TopologyConfig) packets are
  * forwarded hop by hop along the dimension-order route: every
@@ -173,10 +170,10 @@ class NetworkInterface : public dma::UdmaDevice
     const Nipt &nipt() const { return nipt_; }
 
     /**
-     * Route cross-node deliveries and acks through the sharded
-     * engine's mailboxes (core::System wires this when built with
-     * shards). Without a router they are scheduled directly on this
-     * NI's own event queue.
+     * Route cross-node deliveries and acks through the engine's
+     * mailboxes (core::System always wires this). A unit test that
+     * builds NIs on one shared queue leaves it unset, and they are
+     * scheduled on that queue.
      */
     void setRouter(sim::NodeRouter *router) { router_ = router; }
 
@@ -534,7 +531,7 @@ class NetworkInterface : public dma::UdmaDevice
     /** Post the ack (cum + SACK + ECN) for @p src (fault-exposed). */
     void sendAck(NodeId src);
 
-    /** Post an event to @p dst through the router (or locally). */
+    /** Post an event to @p dst through the router. */
     void postToNode(NodeId dst, Tick when, const char *name,
                     sim::EventCallback fn);
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * The discrete-event simulation core: a single global-per-System event
- * queue ordered by (tick, priority, stamp).
+ * The discrete-event simulation core: one node's event queue ordered
+ * by (tick, priority, stamp).
  *
- * The stamp is the intra-(tick, priority) tie-break. A legacy shared
+ * The stamp is the intra-(tick, priority) tie-break. A standalone
  * queue stamps events with a plain insertion counter, which reproduces
- * classic insertion-order FIFO semantics. Under the sharded engine
+ * classic insertion-order FIFO semantics. Under the engine
  * (sim/sharded.hh) every queue is given a stamp source id — its node —
  * and stamps become (source node << stampSeqBits) | per-source counter:
  * a *canonical* key assigned when the originating node decides to
@@ -300,8 +300,8 @@ class EventQueue
     /**
      * Brand this queue's stamps with an originating-source id (the
      * node id + engine convention). Must be set before any event is
-     * scheduled; the default source 0 reproduces the legacy
-     * plain-counter insertion order.
+     * scheduled; the default source 0 is the plain-counter
+     * insertion order of a standalone queue.
      */
     void
     setStampSource(std::uint32_t id)

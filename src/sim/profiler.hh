@@ -14,7 +14,7 @@
  *                 engine fuses plan and sync into this single
  *                 barrier, so barrier_sync is retained only for
  *                 schema stability and reads ~0.
- *   barrier_sync  legacy post-execute sync barrier (see above)
+ *   barrier_sync  the retired post-execute sync barrier (above)
  *   drain         draining cross-shard mailboxes into the queues
  *
  * — accumulated lock-free in one cache-line-aligned slot per worker

@@ -230,6 +230,7 @@ ShardedEngine::planRound()
     for (unsigned d = 0; d < shards_; ++d)
         global_next = std::min(global_next, nextEvent_[d]);
     if (global_next == maxTick || global_next > ctrl_.limit) {
+        ctrl_.hitLimit = global_next != maxTick;
         ctrl_.done = true;
         return;
     }
@@ -334,7 +335,7 @@ ShardedEngine::noteError()
         ctrl_.error = std::current_exception();
 }
 
-void
+std::uint64_t
 ShardedEngine::workerBody(unsigned worker, std::uint64_t start_ns)
 {
     // One round: barrier (completion plans every shard's window) ->
@@ -361,7 +362,7 @@ ShardedEngine::workerBody(unsigned worker, std::uint64_t start_ns)
             t = n;
         }
         if (ctrl_.done)
-            return;
+            return t;
         // The promises published last round were consumed by the plan
         // we just crossed; start the new round's accounting.
         std::fill(st.postedMin.begin(), st.postedMin.end(), maxTick);
@@ -421,24 +422,34 @@ ShardedEngine::runWindows(const std::function<bool()> *pred, Tick limit)
     const unsigned workers = shards_;
     barrier_ =
         std::make_unique<SpinBarrier>(workers, [this] { planRound(); });
+    // Each worker's last profiled instant; the joins publish them.
+    std::vector<std::uint64_t> last(workers, start_ns);
     std::vector<std::thread> threads;
     threads.reserve(workers - 1);
     for (unsigned w = 1; w < workers; ++w)
-        threads.emplace_back(
-            [this, w, start_ns] { workerBody(w, start_ns); });
-    workerBody(0, start_ns);
+        threads.emplace_back([this, w, start_ns, &last] {
+            last[w] = workerBody(w, start_ns);
+        });
+    last[0] = workerBody(0, start_ns);
     for (auto &t : threads)
         t.join();
     const std::uint64_t spins = barrier_->spinWakes();
     const std::uint64_t sleeps = barrier_->futexSleeps();
     barSpinWakes_ += spins;
     barSleeps_ += sleeps;
-    if (profiler_ && profiler_->running())
-        profiler_->addBarrierWaits(spins, sleeps);
     barrier_.reset();
+    if (profiler_ && profiler_->running()) {
+        profiler_->addBarrierWaits(spins, sleeps);
+        // The final barrier, the joins and the bookkeeping above are
+        // wait for the run's end: charge them to the plan bucket, so
+        // the buckets tile this whole call on every worker.
+        const std::uint64_t end_ns = profiler_->nowNs();
+        for (unsigned w = 0; w < workers; ++w)
+            profiler_->notePlan(w, last[w], end_ns);
+    }
     if (ctrl_.error)
         std::rethrow_exception(ctrl_.error);
-    return now();
+    return ctrl_.hitLimit ? limit : now();
 }
 
 Tick
@@ -482,8 +493,10 @@ ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
         for (ShardState &st : shardStates_)
             st.rebuildTree();
         const Tick next = earliest().tree.minKey().first;
-        if (next == maxTick || next > limit)
+        if (next == maxTick)
             break;
+        if (next > limit)
+            return limit;
         const Tick window_end = windowEndFor(next, limit);
         ++windows_;
         bool stop = false;

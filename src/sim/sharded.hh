@@ -1,8 +1,10 @@
 /**
  * @file
- * The sharded simulation core: one EventQueue per node, executed in
- * distance-aware conservative time windows (Chandy-Misra-style) by a
- * pool of worker threads, one shard of nodes per worker.
+ * The simulation engine behind every core::System: one EventQueue per
+ * node, executed in distance-aware conservative time windows
+ * (Chandy-Misra-style) by a pool of workers, one shard of nodes per
+ * worker. One worker (the default) starts no thread: the caller runs
+ * every node's queue in merged order, the fastest sequential path.
  *
  * Synchronization is driven by two inputs instead of one global
  * horizon:
@@ -73,9 +75,8 @@ class ShardProfiler;
 
 /**
  * Where a component posts an event destined for (possibly) another
- * node. The sharded engine implements this with mailboxes; components
- * constructed without a router fall back to scheduling on their own
- * queue, which is exactly the legacy single-queue behaviour.
+ * node. The engine implements this with mailboxes (or direct delivery
+ * between nodes of one shard).
  */
 class NodeRouter
 {
@@ -254,6 +255,10 @@ class ShardedEngine : public NodeRouter
               EventCallback fn, EventPriority prio) override;
 
     // --------------------------------------------- run loop
+    // Every run mode returns @p limit when it stopped there with
+    // events still pending past it (time advanced to the limit, as
+    // EventQueue::run has it), and now() otherwise.
+
     /** Parallel windowed run until every queue drains or @p limit. */
     Tick run(Tick limit = maxTick);
 
@@ -444,6 +449,8 @@ class ShardedEngine : public NodeRouter
         Tick limit = maxTick;
         const std::function<bool()> *pred = nullptr;
         bool done = false;
+        /** The run ended because the next event lies past limit. */
+        bool hitLimit = false;
         /** Which spill vector producers write this round. */
         unsigned parity = 0;
         /** True once a first window has been planned this run. */
@@ -486,8 +493,10 @@ class ShardedEngine : public NodeRouter
     void executeShard(unsigned s);
 
     /** One worker's rounds; its profile starts at @p start_ns (the
-     *  run's start, so thread start-up lands in the plan bucket). */
-    void workerBody(unsigned worker, std::uint64_t start_ns);
+     *  run's start, so thread start-up lands in the plan bucket).
+     *  @return The end of its last profiled phase (start_ns when not
+     *  profiling). */
+    std::uint64_t workerBody(unsigned worker, std::uint64_t start_ns);
     void noteError();
 
     Tick runWindows(const std::function<bool()> *pred, Tick limit);

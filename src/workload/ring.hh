@@ -13,8 +13,8 @@
  * host-shared ChannelRendezvous objects, so it executes under
  * System::runSetup — sequential, in the canonical global event order,
  * identical for any shard count. The data phase that follows is
- * entirely node-local plus NI traffic, so it runs under the parallel
- * engine (or the legacy queue) and is the part the caller times.
+ * entirely node-local plus NI traffic, so it runs on the engine's
+ * workers in windows and is the part the caller times.
  *
  * RingResult::digest folds every per-node counter into one FNV-1a
  * value, so "bit-identical across shard counts" is one integer
@@ -58,8 +58,8 @@ struct RingConfig
     unsigned records = 64;
     /** Per-record payload; must fit one channel slot (<= 4080). */
     std::uint32_t recordBytes = 4080;
-    /** SystemConfig::shards: 0 = legacy shared event queue. */
-    unsigned shards = 0;
+    /** SystemConfig::shards: engine workers (>= 1). */
+    unsigned shards = 1;
     /** Fine quantum so each node's sender/receiver pair pipelines. */
     double quantumUs = 200.0;
     std::uint64_t memBytes = std::uint64_t(8) << 20;
@@ -79,9 +79,9 @@ struct RingConfig
      */
     sim::TopologyConfig topology;
     /**
-     * Optional time-budget profiler: attached to the sharded engine
-     * (no-op in legacy mode) and begun/ended around the timed data
-     * phase, so setup never pollutes the budget.
+     * Optional time-budget profiler: attached to the engine and
+     * begun/ended around the timed data phase, so setup never
+     * pollutes the budget.
      */
     sim::ShardProfiler *profiler = nullptr;
     /**
@@ -150,7 +150,7 @@ struct RingResult
     /** Wall seconds spent in the timed data phase. */
     double hostSec = 0;
 
-    // --- sharded-engine introspection (0 in legacy mode).
+    // --- engine introspection.
     std::uint64_t crossPosts = 0;
     std::uint64_t windows = 0;
 };

@@ -305,6 +305,8 @@ TEST(Monitor, MonitoredSimulationStaysClean)
     // never trip the auditor.
     System sys(fbConfig());
     ASSERT_TRUE(sys.enableAudit("every-event", /*fail_fast=*/true));
+    // The default engine has one worker: per-event audit is honoured.
+    EXPECT_EQ(sys.auditMonitor()->mode(), audit::Mode::EveryEvent);
     auto &node = sys.node(0);
 
     for (int p = 0; p < 2; ++p) {
@@ -326,6 +328,23 @@ TEST(Monitor, MonitoredSimulationStaysClean)
     ASSERT_NE(sys.auditMonitor(), nullptr);
     EXPECT_GE(sys.auditMonitor()->audits(), 1u);
     EXPECT_EQ(sys.auditMonitor()->violationCount(), 0u);
+}
+
+TEST(Monitor, SeveralWorkersAuditAtBarriers)
+{
+    // Per-event hooks would run concurrently on the workers, so with
+    // more than one every mode but off becomes at-barrier.
+    SystemConfig cfg = fbConfig();
+    cfg.nodes = 2;
+    cfg.shards = 2;
+    System sys(cfg);
+    for (const char *mode : {"every-event", "on-switch", "at-barrier"}) {
+        ASSERT_TRUE(sys.enableAudit(mode));
+        EXPECT_EQ(sys.auditMonitor()->mode(), audit::Mode::AtBarrier);
+    }
+    ASSERT_TRUE(sys.enableAudit("at-barrier"));
+    sys.run();
+    EXPECT_GE(sys.auditMonitor()->audits(), 1u) << "barrier hook wired";
 }
 
 // --------------------------------------------------------- run options

@@ -90,7 +90,7 @@ TEST(StatsDump, PollCountersSplitModelledFromDispatchedEvents)
             co_await pollWord(ctx, word, 1);
         });
     // About 1000 loads (150 ns each) of spinning before the word flips.
-    sys.eq().schedule(Tick(150) * tickUs, "flip", [&] {
+    sys.nodeEq(0).schedule(Tick(150) * tickUs, "flip", [&] {
         const std::uint64_t one = 1;
         sys.node(0).kernel().pokeBytes(p, word, &one, sizeof one);
     });

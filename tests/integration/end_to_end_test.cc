@@ -59,8 +59,8 @@ TEST(EndToEnd, ComputeOnlyProcessRunsAndExits)
     sys.runUntilAllDone();
     EXPECT_TRUE(ran);
     // 1000 instructions at 60 MHz ~= 16.7 us plus dispatch cost.
-    EXPECT_GT(sys.eq().now(), 16 * tickUs);
-    EXPECT_LT(sys.eq().now(), 60 * tickUs);
+    EXPECT_GT(sys.simNow(), 16 * tickUs);
+    EXPECT_LT(sys.simNow(), 60 * tickUs);
 }
 
 TEST(EndToEnd, LoadStoreThroughMmu)

@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "check/monitor.hh"
+#include "core/system.hh"
 #include "shrimp/fault.hh"
 #include "workload/ring.hh"
 
@@ -144,10 +146,22 @@ TEST(FaultRecovery, AuditorStaysCleanUnderFaults)
     // monitor reports violations as "audit[...]" lines on stderr.
     ASSERT_EQ(setenv("SHRIMP_AUDIT", "every-event", 1), 0);
     testing::internal::CaptureStderr();
-    RingConfig cfg = faultyRing(0); // legacy queue: per-event hooks
+    // One worker (the default engine) honours every-event: the hooks
+    // run on the calling thread after every kernel event.
+    RingConfig cfg = faultyRing(1);
+    audit::Mode mode = audit::Mode::Off;
+    std::uint64_t audits = 0;
+    cfg.onSystemDone = [&](core::System &sys) {
+        ASSERT_NE(sys.auditMonitor(), nullptr);
+        mode = sys.auditMonitor()->mode();
+        audits = sys.auditMonitor()->audits();
+    };
     RingResult r = runRing(cfg);
     std::string err = testing::internal::GetCapturedStderr();
     unsetenv("SHRIMP_AUDIT");
+
+    EXPECT_EQ(mode, audit::Mode::EveryEvent);
+    EXPECT_GT(audits, r.messagesDelivered) << "audits were not per event";
 
     expectAllDelivered(r, cfg);
     EXPECT_GT(r.retransmits, 0u);

@@ -101,20 +101,3 @@ TEST(ShardDeterminism, LargeMachineManyShards)
     expectIdentical(r1, r8, "256 nodes, shards=1 vs shards=8");
     EXPECT_GT(r8.crossPosts, 0u);
 }
-
-TEST(ShardDeterminism, LegacyModeStillWorks)
-{
-    // shards=0 keeps the original single-queue path: same workload,
-    // same delivery counts (timing may differ from the sharded runs).
-    RingConfig cfg = smallRing(0);
-    RingResult r = workload::runRing(cfg);
-    // At least the payload records arrive (plus automatic-update
-    // credit messages on top).
-    EXPECT_GE(r.messagesDelivered,
-              std::uint64_t(cfg.nodes) * cfg.records);
-    EXPECT_GE(r.bytesDelivered,
-              std::uint64_t(cfg.nodes) * cfg.records
-                  * cfg.recordBytes);
-    EXPECT_EQ(r.crossPosts, 0u);
-    EXPECT_EQ(r.windows, 0u);
-}

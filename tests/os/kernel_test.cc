@@ -198,7 +198,7 @@ TEST(Kernel, BlockingSyscallAndWake)
     sys.runUntilAllDone();
     EXPECT_EQ(blocked, &p);
     EXPECT_EQ(got, 0xCAFEu);
-    EXPECT_GT(sys.eq().now(), 50 * tickUs);
+    EXPECT_GT(sys.simNow(), 50 * tickUs);
 }
 
 TEST(Kernel, WakeBeforeBlockIsNotLost)

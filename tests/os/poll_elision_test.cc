@@ -48,8 +48,6 @@ struct Scenario
     /** Spawn a second, compute-bound process (preemption case). */
     bool hog = false;
     double quantumUs = 10000.0;
-    /** 0 = legacy queue, else sharded engine at this many shards. */
-    unsigned shards = 0;
 };
 
 /** Everything the two spins must agree on. */
@@ -93,8 +91,12 @@ enum class Drive
 {
     ToCompletion,
     Limit,     ///< run(stopAt)
-    FlagEvent, ///< runUntil(flag), flag set by an event at stopAt
-    EventCount ///< runUntil(eventsExecuted() >= stopAt)
+    /** The node queue's runUntil(flag), flag set by an event at
+     *  stopAt. The queue checks its predicate after every event (the
+     *  engine only at window barriers), and the System has one node,
+     *  so driving its queue directly is driving the whole machine. */
+    FlagEvent,
+    EventCount ///< the node queue's runUntil(events >= stopAt)
 };
 
 class Harness
@@ -104,7 +106,6 @@ class Harness
     {
         SystemConfig cfg;
         cfg.nodes = 1;
-        cfg.shards = sc.shards;
         cfg.node.memBytes = 4 << 20;
         cfg.params.quantumUs = sc.quantumUs;
         sys_ = std::make_unique<System>(cfg);
@@ -158,11 +159,10 @@ class Harness
           case Drive::FlagEvent:
             eq.schedule(Tick(stop_at), "test.flag",
                         [&flag] { flag = true; });
-            sys_->runUntil([&flag] { return flag; });
+            eq.runUntil([&flag] { return flag; });
             break;
           case Drive::EventCount:
-            sys_->runUntil(
-                [&] { return sys_->simEvents() >= stop_at; });
+            eq.runUntil([&] { return sys_->simEvents() >= stop_at; });
             break;
         }
         out_.events = sys_->simEvents();
@@ -196,10 +196,9 @@ runSpin(const Scenario &sc, Spin spin, Drive drive = Drive::ToCompletion,
 /** Completion ticks of the loads a word-never-written spin performs
  *  in its first 300 us. */
 std::vector<Tick>
-calibrate(unsigned shards = 0)
+calibrate()
 {
     Scenario sc;
-    sc.shards = shards;
     sc.writes.push_back({Tick(300) * tickUs, kExpected});
     return runSpin(sc, Spin::Loop).loadTicks;
 }
@@ -332,18 +331,6 @@ TEST(PollElision, RunUntilCounterPredicateSeesWholeRunsOfFirings)
     EXPECT_EQ(poll_to_count.now, loop_to_write.lastFired);
     EXPECT_EQ(poll_to_count.polls, loop_to_write.polls);
     EXPECT_EQ(poll_to_count.tlbHits, loop_to_write.tlbHits);
-}
-
-TEST(PollElision, ShardedEngineAgreesToo)
-{
-    const std::vector<Tick> ticks = calibrate(1);
-    Scenario sc;
-    sc.shards = 1;
-    sc.writes.push_back({ticks[150], kExpected});
-    expectSame(sc);
-    sc.hog = true;
-    sc.quantumUs = 20.0;
-    expectSame(sc);
 }
 
 TEST(PollElision, ChannelRingDigestIdenticalAcrossShardCounts)

@@ -40,7 +40,7 @@ struct NetFixture : ::testing::Test
 {
     sim::EventQueue eq;
     sim::MachineParams params;
-    Interconnect net{eq, params};
+    Interconnect net{params};
     mem::PhysicalMemory mem{1 << 20, 4096};
     bus::IoBus bus{eq, params};
     std::vector<std::unique_ptr<NetworkInterface>> nis;
@@ -81,17 +81,18 @@ TEST_F(NetFixture, AcquireLinkFromUnattachedNodePanics)
     // The link vectors are sized in attach() only: a runtime grow
     // would be a data race under shards, so acquireLink must refuse
     // rather than resize.
-    EXPECT_THROW(net.acquireLink(0, 2000), PanicError);
+    EXPECT_THROW(net.acquireLink(0, 0, 2000, 0), PanicError);
     attachNodes(1);
-    EXPECT_NO_THROW(net.acquireLink(0, 2000));
-    EXPECT_THROW(net.acquireLink(1, 2000), PanicError);
+    EXPECT_NO_THROW(net.acquireLink(0, 0, 2000, 0));
+    EXPECT_THROW(net.acquireLink(1, 1, 2000, 0), PanicError);
 }
 
 TEST_F(NetFixture, LinkSerializesPerSource)
 {
     attachNodes(1);
-    Tick t1 = net.acquireLink(0, 2000); // 2000 B at 200 MB/s = 10 us
-    Tick t2 = net.acquireLink(0, 2000);
+    // 2000 B at 200 MB/s = 10 us
+    Tick t1 = net.acquireLink(0, 0, 2000, 0);
+    Tick t2 = net.acquireLink(0, 0, 2000, 0);
     EXPECT_NEAR(double(t1), 10.0 * tickUs, double(tickNs));
     EXPECT_NEAR(double(t2), 20.0 * tickUs, double(tickNs));
 }
@@ -99,16 +100,16 @@ TEST_F(NetFixture, LinkSerializesPerSource)
 TEST_F(NetFixture, DistinctSourcesDoNotSerialize)
 {
     attachNodes(2);
-    Tick t1 = net.acquireLink(0, 2000);
-    Tick t2 = net.acquireLink(1, 2000);
+    Tick t1 = net.acquireLink(0, 0, 2000, 0);
+    Tick t2 = net.acquireLink(1, 1, 2000, 0);
     EXPECT_EQ(t1, t2) << "a crossbar: each node has its own link";
 }
 
 TEST_F(NetFixture, TracksRoutedBytes)
 {
     attachNodes(2);
-    net.acquireLink(0, 100);
-    net.acquireLink(1, 250);
+    net.acquireLink(0, 0, 100, 0);
+    net.acquireLink(1, 1, 250, 0);
     EXPECT_EQ(net.bytesRouted(), 350u);
 }
 
@@ -231,8 +232,8 @@ TEST(Routing, MinDeliveryLatencyScalesWithDistance)
 {
     sim::EventQueue eq;
     sim::MachineParams params;
-    Interconnect flat{eq, params};
-    Interconnect meshNet{eq, params, parseTopo("mesh:4x4")};
+    Interconnect flat{params};
+    Interconnect meshNet{params, parseTopo("mesh:4x4")};
     // One hop costs the header serialization plus the hop latency.
     const Tick one = flat.minDeliveryLatency(0, 1);
     EXPECT_EQ(meshNet.minDeliveryLatency(0, 1), one);
@@ -247,7 +248,7 @@ TEST(Routing, MeshDirectionLinksArbitrateIndependently)
 {
     sim::EventQueue eq;
     sim::MachineParams params;
-    Interconnect net{eq, params, parseTopo("mesh:4x4")};
+    Interconnect net{params, parseTopo("mesh:4x4")};
     mem::PhysicalMemory mem{1 << 20, 4096};
     bus::IoBus bus{eq, params};
     std::vector<std::unique_ptr<NetworkInterface>> nis;
@@ -329,7 +330,7 @@ runFloorProperty(const std::string &spec, NodeId src, NodeId dst)
     sim::TopologyConfig topo;
     if (spec != "crossbar")
         topo = parseTopo(spec);
-    Interconnect net{eq, params, topo};
+    Interconnect net{params, topo};
 
     FloorCheckRouter router(eq, net);
 

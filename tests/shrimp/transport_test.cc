@@ -182,7 +182,7 @@ struct TransportPair : ::testing::Test
 {
     sim::EventQueue eq;
     sim::MachineParams params;
-    Interconnect net{eq, params};
+    Interconnect net{params};
     mem::PhysicalMemory memA{1 << 20, 4096};
     mem::PhysicalMemory memB{1 << 20, 4096};
     bus::IoBus busA{eq, params};

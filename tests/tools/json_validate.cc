@@ -4,10 +4,16 @@
  * BENCH_*.json / --stats-json output) and verify that each required
  * dotted key is present.
  *
- *   json_validate <file> [dotted.key ...]
+ *   json_validate <file> [dotted.key | dotted.key=number ...]
  *
- * Exit status: 0 = parsed and every key found; 1 = unreadable,
- * malformed, or a key missing; 2 = usage error.
+ * A `key=number` argument also pins the value: the key must hold a
+ * number that prints as exactly that text at the text's own number of
+ * decimals (`metrics.udma_initiate_us=2.80` passes for 2.79996), the
+ * precision the bench tables print.
+ *
+ * Exit status: 0 = parsed and every key found (and every pin held);
+ * 1 = unreadable, malformed, a key missing or a pin broken; 2 = usage
+ * error.
  */
 
 #include <cstdio>
@@ -45,9 +51,29 @@ main(int argc, char **argv)
 
     int missing = 0;
     for (int i = 2; i < argc; ++i) {
-        if (!doc.path(argv[i])) {
+        const std::string arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        const std::string key = arg.substr(0, eq);
+        const minijson::Value *v = doc.path(key);
+        if (!v) {
             std::fprintf(stderr, "json_validate: %s: missing key %s\n",
-                         argv[1], argv[i]);
+                         argv[1], key.c_str());
+            ++missing;
+            continue;
+        }
+        if (eq == std::string::npos)
+            continue;
+        const std::string want = arg.substr(eq + 1);
+        const std::size_t dot = want.find('.');
+        const int decimals =
+            dot == std::string::npos ? 0 : int(want.size() - dot - 1);
+        char have[64] = "(not a number)";
+        if (v->isNumber())
+            std::snprintf(have, sizeof have, "%.*f", decimals, v->number);
+        if (want != have) {
+            std::fprintf(stderr,
+                         "json_validate: %s: %s is %s, pinned %s\n",
+                         argv[1], key.c_str(), have, want.c_str());
             ++missing;
         }
     }

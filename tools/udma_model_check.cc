@@ -304,7 +304,9 @@ apply(World &w, const Action &a)
       case ActionKind::PageOut:
         return kernel.evictOneFrame(lat);
       case ActionKind::Complete: {
-        sim::EventQueue &eq = w.sys->eq();
+        // One node: its queue is the whole machine, and the queue's
+        // runUntil checks the predicate after every event.
+        sim::EventQueue &eq = w.sys->nodeEq(0);
         eq.runUntil([&w] { return !w.transferring(); },
                     eq.now() + tickSec);
         return !w.transferring();
@@ -756,7 +758,6 @@ runNetCheck(const Options &opt)
     }
     rc.records = opt.records;
     rc.recordBytes = opt.recordBytes;
-    rc.shards = 1;
     // The deadline turns "recovery exists" into "recovery performs":
     // a mutation that only limps home on serial RTO expiries blows
     // the budget and surfaces as the same lost-completion trace a
