@@ -100,8 +100,7 @@ Node::Node(System &sys, NodeId id, const SystemConfig &cfg,
           case DeviceKind::ShrimpNi: {
             auto ni = std::make_unique<net::NetworkInterface>(
                 eq, params, id, *memory_, *ioBus_, sys.net(),
-                params.pageBytes);
-            ni->setRouter(sys.engine());
+                *sys.engine(), params.pageBytes);
             ni_ = ni.get();
             udev = std::move(ni);
             break;

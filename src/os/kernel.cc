@@ -193,54 +193,13 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
 
       case UserOp::Kind::Load:
       case UserOp::Kind::Store:
-      case UserOp::Kind::Poll: {
-        bool is_write = op->kind == UserOp::Kind::Store;
-        std::uint64_t vpn = layout_.pageOf(op->vaddr);
-        vm::TranslateResult tr;
-        vm::Pte *cpte = tcache_.lookup(proc.pid_, vpn, is_write);
-        if (cpte) {
-            // Proxy-translation cache hit: architecturally a warm TLB
-            // hit (no extra latency); lookup() already checked the
-            // permission bits against the live PTE.
-            cpte->referenced = true;
-            if (is_write)
-                cpte->dirty = true;
-            tr.paddr = cpte->frameAddr + layout_.pageOffset(op->vaddr);
-            tr.tlbHit = true;
-        } else {
-            int attempts = 0;
-            for (;;) {
-                tr = mmu_.translate(op->vaddr, is_write);
-                if (!tr.tlbHit)
-                    lat += params_.instrTicks(params_.tlbMissCycles);
-                if (tr.ok())
-                    break;
-                auto out =
-                    handleFault(proc, op->vaddr, is_write, tr.fault);
-                faultUs_.sample(ticksToUs(out.latency));
-                fireAuditHook(KernelEvent::PageFault);
-                lat += out.latency;
-                if (out.killed) {
-                    after = After::Kill;
-                    break;
-                }
-                SHRIMP_ASSERT(++attempts < 8,
-                              "page-fault livelock at va=", op->vaddr);
-            }
-        }
-        if (after == After::Kill)
-            break;
-
-        auto dec = layout_.decode(tr.paddr);
-        if (!cpte && dec.space != vm::Space::Memory) {
-            // Memoize the proxy translation the slow path resolved.
-            if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
-                tcache_.insert(proc.pid_, vpn, pte);
-        }
-        pa = tr.paddr;
-        if (dec.space == vm::Space::Memory) {
+      case UserOp::Kind::Poll:
+        acc = translateUser(proc, op->vaddr,
+                            op->kind == UserOp::Kind::Store, pa, lat);
+        if (acc == Access::None) {
+            after = After::Kill;
+        } else if (acc == Access::MemLoad || acc == Access::MemStore) {
             lat += params_.memAccess();
-            acc = is_write ? Access::MemStore : Access::MemLoad;
             // A spin past its first load, on a TLB hit that costs
             // exactly one memory access: every further load repeats
             // this one until something could change the outcome.
@@ -252,19 +211,10 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
         } else {
             // Proxy space: an uncached reference across the I/O bus,
             // decoded by the owning UDMA controller.
-            bus::ProxyClient *client = ioBus_.client(dec.device);
-            if (!client) {
-                killProcess(proc, "proxy access to unattached device");
-                after = After::Kill;
-                break;
-            }
-            Tick fin =
-                ioBus_.acquireAt(eq_.now() + lat, params_.ioAccess());
-            lat = fin - eq_.now();
-            acc = is_write ? Access::ProxyStore : Access::ProxyLoad;
+            lat = ioBus_.acquireAt(eq_.now() + lat, params_.ioAccess())
+                  - eq_.now();
         }
         break;
-      }
     }
 
     // The access travels in the callback's inline storage: no
@@ -277,33 +227,90 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
         sim::EventPriority::CpuResume);
 }
 
+Kernel::Access
+Kernel::translateUser(Process &proc, Addr va, bool is_write, Addr &pa,
+                      Tick &lat)
+{
+    const std::uint64_t vpn = layout_.pageOf(va);
+    vm::Pte *cpte = tcache_.lookup(proc.pid_, vpn, is_write);
+    if (cpte) {
+        // Proxy-translation cache hit: architecturally a warm TLB hit
+        // (no extra latency); lookup() already checked the permission
+        // bits against the live PTE.
+        cpte->referenced = true;
+        if (is_write)
+            cpte->dirty = true;
+        pa = cpte->frameAddr + layout_.pageOffset(va);
+    } else {
+        for (int attempts = 0;;) {
+            const vm::TranslateResult tr = mmu_.translate(va, is_write);
+            if (!tr.tlbHit)
+                lat += params_.instrTicks(params_.tlbMissCycles);
+            if (tr.ok()) {
+                pa = tr.paddr;
+                break;
+            }
+            const FaultOutcome out =
+                handleFault(proc, va, is_write, tr.fault);
+            faultUs_.sample(ticksToUs(out.latency));
+            fireAuditHook(KernelEvent::PageFault);
+            lat += out.latency;
+            if (out.killed)
+                return Access::None;
+            SHRIMP_ASSERT(++attempts < 8, "page-fault livelock at va=",
+                          va);
+        }
+    }
+
+    const auto dec = layout_.decode(pa);
+    if (dec.space == vm::Space::Memory)
+        return is_write ? Access::MemStore : Access::MemLoad;
+    if (!cpte) {
+        // Memoize the proxy translation the slow path resolved.
+        if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
+            tcache_.insert(proc.pid_, vpn, pte);
+    }
+    if (!ioBus_.client(dec.device)) {
+        killProcess(proc, "proxy access to unattached device");
+        return Access::None;
+    }
+    return is_write ? Access::ProxyStore : Access::ProxyLoad;
+}
+
 void
-Kernel::completeOp(Process &proc, UserOp *op, Access acc, Addr pa,
-                   After after)
+Kernel::applyAccess(Access acc, Addr pa, std::uint64_t value,
+                    std::uint64_t &loaded)
 {
     switch (acc) {
       case Access::None:
         break;
       case Access::MemLoad:
-        op->result.value = memory_.read<std::uint64_t>(pa);
+        loaded = memory_.read<std::uint64_t>(pa);
         break;
       case Access::MemStore:
-        memory_.write<std::uint64_t>(pa, op->value);
+        memory_.write<std::uint64_t>(pa, value);
         // Bus snoopers (automatic update) see the store.
         for (auto &snoop : snoopers_)
-            (void)snoop(pa, op->value);
+            (void)snoop(pa, value);
         break;
       case Access::ProxyLoad:
       case Access::ProxyStore: {
         auto dec = layout_.decode(pa);
         bus::ProxyClient *client = ioBus_.client(dec.device);
         if (acc == Access::ProxyStore)
-            client->proxyStore(dec, pa, std::int64_t(op->value));
+            client->proxyStore(dec, pa, std::int64_t(value));
         else
-            op->result.value = client->proxyLoad(dec, pa);
+            loaded = client->proxyLoad(dec, pa);
         break;
       }
     }
+}
+
+void
+Kernel::completeOp(Process &proc, UserOp *op, Access acc, Addr pa,
+                   After after)
+{
+    applyAccess(acc, pa, op->value, op->result.value);
     if (op->kind == UserOp::Kind::Poll && acc != Access::None) {
         ++op->result.polls;
         ++pollsDispatched_;
@@ -434,23 +441,10 @@ Kernel::dispatch()
     Process *next = readyQueue_.front();
     readyQueue_.pop_front();
     dispatchPending_ = true;
-    ++switches_;
     trace::log(eq_.now(), trace::Category::Os, "switch to ",
                next->name(), " (pid ", next->pid(), ")");
-
-    Tick lat = params_.instrTicks(params_.contextSwitchInstr);
-    // Invariant I1: invalidate any partially-initiated UDMA sequence
-    // with a single STORE (of a negative nbytes) per controller.
-    if (!mutations_.skipInvalOnSwitch) {
-        for (auto *c : controllers_) {
-            c->inval();
-            ++i1Invals_;
-            lat += params_.ioAccess();
-        }
-    }
-    mmu_.activate(&next->pageTable_);
-    fireAuditHook(KernelEvent::ContextSwitch);
-
+    const Tick lat = params_.instrTicks(params_.contextSwitchInstr)
+                     + switchAddressSpace(*next);
     eq_.scheduleIn(
         lat, "kernel.dispatch",
         [this, next] {
@@ -462,6 +456,26 @@ Kernel::dispatch()
             resumeProcess(*next);
         },
         sim::EventPriority::CpuResume);
+}
+
+Tick
+Kernel::switchAddressSpace(Process &next)
+{
+    materializePoll();
+    ++switches_;
+    Tick lat = 0;
+    // Invariant I1: invalidate any partially-initiated UDMA sequence
+    // with a single STORE (of a negative nbytes) per controller.
+    if (!mutations_.skipInvalOnSwitch) {
+        for (auto *c : controllers_) {
+            c->inval();
+            ++i1Invals_;
+            lat += params_.ioAccess();
+        }
+    }
+    mmu_.activate(&next.pageTable_);
+    fireAuditHook(KernelEvent::ContextSwitch);
+    return lat;
 }
 
 void
@@ -502,7 +516,6 @@ Kernel::finalizeKill(Process &proc)
 void
 Kernel::killProcess(Process &proc, std::string reason)
 {
-    materializePoll();
     trace::log(eq_.now(), trace::Category::Os, "kill ", proc.name(),
                ": ", reason);
     proc.killed_ = true;
@@ -573,6 +586,7 @@ Kernel::handleFault(Process &proc, Addr va, bool is_write,
                     vm::Fault fault)
 {
     auto dec = layout_.decode(va);
+    const FaultOutcome out{params_.instrTicks(params_.pageFaultInstr)};
     switch (dec.space) {
       case vm::Space::Memory:
         return handleMemFault(proc, va, is_write, fault);
@@ -582,25 +596,24 @@ Kernel::handleFault(Process &proc, Addr va, bool is_write,
         return handleProxyFault(proc, va, dec.device, dec.offset,
                                 is_write, fault);
 
-      case vm::Space::DevProxy: {
-        FaultOutcome out;
-        out.latency = params_.instrTicks(params_.pageFaultInstr);
-        out.killed = true;
-        killProcess(proc, fault == vm::Fault::Protection
-                              ? "write to read-only device proxy page"
-                              : "access to unmapped device proxy page");
-        return out;
-      }
+      case vm::Space::DevProxy:
+        return faultKill(proc, out,
+                         fault == vm::Fault::Protection
+                             ? "write to read-only device proxy page"
+                             : "access to unmapped device proxy page");
 
       case vm::Space::Invalid:
-      default: {
-        FaultOutcome out;
-        out.latency = params_.instrTicks(params_.pageFaultInstr);
-        out.killed = true;
-        killProcess(proc, "access to an address-space hole");
-        return out;
-      }
+      default:
+        return faultKill(proc, out, "access to an address-space hole");
     }
+}
+
+Kernel::FaultOutcome
+Kernel::faultKill(Process &proc, FaultOutcome out, const char *reason)
+{
+    out.killed = true;
+    killProcess(proc, reason);
+    return out;
 }
 
 Kernel::FaultOutcome
@@ -611,27 +624,18 @@ Kernel::handleMemFault(Process &proc, Addr va, bool is_write,
     trace::log(eq_.now(), trace::Category::Vm, proc.name(),
                " memory fault at va=", va,
                is_write ? " (write)" : " (read)");
-    FaultOutcome out;
-    out.latency = params_.instrTicks(params_.pageFaultInstr);
+    FaultOutcome out{params_.instrTicks(params_.pageFaultInstr)};
 
     const VmRegion *region = proc.regionFor(va);
-    if (!region) {
-        out.killed = true;
-        killProcess(proc, "segmentation fault");
-        return out;
-    }
+    if (!region)
+        return faultKill(proc, out, "segmentation fault");
     if (fault == vm::Fault::Protection) {
         // Regions are mapped with their full permissions, so a
         // protection fault here is a genuine violation.
-        out.killed = true;
-        killProcess(proc, "write to read-only page");
-        return out;
+        return faultKill(proc, out, "write to read-only page");
     }
-    if (!ensureResident(proc, va, is_write, out.latency)) {
-        out.killed = true;
-        killProcess(proc, "out of memory");
-        return out;
-    }
+    if (!ensureResident(proc, va, out.latency))
+        return faultKill(proc, out, "out of memory");
     return out;
 }
 
@@ -639,8 +643,7 @@ Kernel::FaultOutcome
 Kernel::handleProxyFault(Process &proc, Addr va, unsigned device,
                          Addr real_va, bool is_write, vm::Fault fault)
 {
-    FaultOutcome out;
-    out.latency = params_.instrTicks(params_.pageFaultInstr);
+    FaultOutcome out{params_.instrTicks(params_.pageFaultInstr)};
     trace::log(eq_.now(), trace::Category::Vm, proc.name(),
                " proxy fault at va=", va, " real=", real_va,
                is_write ? " (write)" : " (read)");
@@ -649,9 +652,7 @@ Kernel::handleProxyFault(Process &proc, Addr va, unsigned device,
     if (!region) {
         // The kernel treats this like an illegal access to vmem_page
         // (Section 6: "will normally cause a core dump").
-        out.killed = true;
-        killProcess(proc, "proxy access to unmapped memory");
-        return out;
+        return faultKill(proc, out, "proxy access to unmapped memory");
     }
 
     std::uint64_t real_vpn = layout_.pageOf(real_va);
@@ -663,19 +664,15 @@ Kernel::handleProxyFault(Process &proc, Addr va, unsigned device,
         // "The kernel enables writes to PROXY(vmem_page) so the user's
         // transfer can take place; the kernel also marks vmem_page as
         // dirty to maintain I3."
-        if (!region->writable) {
-            out.killed = true;
-            killProcess(proc, "proxy write to read-only memory");
-            return out;
-        }
+        if (!region->writable)
+            return faultKill(proc, out, "proxy write to read-only memory");
         SHRIMP_ASSERT(real_pte && real_pte->valid,
                       "I2 violated: proxy mapping without real mapping");
         real_pte->dirty = true;
         ++i3DirtyFaults_;
         vm::Pte *proxy_pte = proc.pageTable_.lookup(proxy_vpn);
         SHRIMP_ASSERT(proxy_pte && proxy_pte->valid, "proxy PTE vanished");
-        if (mmu_.activeTable() == &proc.pageTable_)
-            mmu_.invalidatePage(proxy_vpn);
+        tlbShootdown(proc, proxy_vpn);
         proxy_pte->writable = true;
         ++proxyUpgrades_;
         return out;
@@ -685,21 +682,15 @@ Kernel::handleProxyFault(Process &proc, Addr va, unsigned device,
     // cases based on the state of vmem_page (Section 6).
     if (!real_pte || !real_pte->valid) {
         // vmem_page is valid but not in core: page it in first.
-        if (!ensureResident(proc, real_va, false, out.latency)) {
-            out.killed = true;
-            killProcess(proc, "out of memory (proxy page-in)");
-            return out;
-        }
+        if (!ensureResident(proc, real_va, out.latency))
+            return faultKill(proc, out, "out of memory (proxy page-in)");
         real_pte = proc.pageTable_.lookup(real_vpn);
         SHRIMP_ASSERT(real_pte && real_pte->valid, "page-in failed");
     }
 
     if (is_write) {
-        if (!region->writable) {
-            out.killed = true;
-            killProcess(proc, "proxy write to read-only memory");
-            return out;
-        }
+        if (!region->writable)
+            return faultKill(proc, out, "proxy write to read-only memory");
         // Main scheme (I3): mark the real page dirty before granting
         // a writable proxy mapping. Under the alternative scheme the
         // proxy PTE's own dirty bit carries the information instead.
@@ -723,17 +714,14 @@ Kernel::handleProxyFault(Process &proc, Addr va, unsigned device,
         // the real page is dirty (and the region is writable at all).
         proxy_pte.writable = region->writable && real_pte->dirty;
     }
-    if (mmu_.activeTable() == &proc.pageTable_)
-        mmu_.invalidatePage(proxy_vpn);
+    tlbShootdown(proc, proxy_vpn);
     proc.pageTable_.install(proxy_vpn, proxy_pte);
     return out;
 }
 
 bool
-Kernel::ensureResident(Process &proc, Addr va, bool for_write,
-                       Tick &lat)
+Kernel::ensureResident(Process &proc, Addr va, Tick &lat)
 {
-    (void)for_write;
     std::uint64_t vpn = layout_.pageOf(va);
     vm::Pte *pte = proc.pageTable_.lookup(vpn);
     if (pte && pte->valid)
@@ -765,8 +753,7 @@ Kernel::ensureResident(Process &proc, Addr va, bool for_write,
     new_pte.writable = region->writable;
     new_pte.user = true;
     new_pte.dirty = false;
-    if (mmu_.activeTable() == &proc.pageTable_)
-        mmu_.invalidatePage(vpn);
+    tlbShootdown(proc, vpn);
     proc.pageTable_.install(vpn, new_pte);
 
     frames_[frame] = FrameInfo{true, proc.pid_, vpn, 0};
@@ -824,22 +811,28 @@ Kernel::evictOneFrame(Tick &lat)
             pte->referenced = false;
             continue;
         }
-        Addr fa = memory_.frameAddr(clockHand_);
-        // Invariant I4: a page latched in a pending DESTINATION
-        // register may be freed with an Inval event (Section 6); a
-        // page involved in a running or queued transfer is skipped.
-        for (auto *c : controllers_) {
-            Addr dl;
-            if (c->destLoadedPage(dl) && dl == fa)
-                c->inval();
-        }
-        if (!mutations_.ignoreI4PageBusy && pageBusyAnywhere(fa)) {
-            ++i4Skips_;
+        if (!pageOutAllowed(memory_.frameAddr(clockHand_)))
             continue;
-        }
         evictFrame(clockHand_, lat);
         return true;
     }
+    return false;
+}
+
+bool
+Kernel::pageOutAllowed(Addr fa)
+{
+    // Invariant I4: a page latched in a pending DESTINATION register
+    // may be freed with an Inval event (Section 6); a page involved in
+    // a running or queued transfer stays.
+    for (auto *c : controllers_) {
+        Addr dl;
+        if (c->destLoadedPage(dl) && dl == fa)
+            c->inval();
+    }
+    if (mutations_.ignoreI4PageBusy || !pageBusyAnywhere(fa))
+        return true;
+    ++i4Skips_;
     return false;
 }
 
@@ -850,19 +843,10 @@ Kernel::evictPage(Process &proc, Addr va, Tick &lat)
     vm::Pte *pte = proc.pageTable_.lookup(layout_.pageOf(va));
     if (!pte || !pte->valid)
         return false;
-    std::uint64_t frame = memory_.frameOf(pte->frameAddr);
-    if (frames_[frame].pinCount > 0)
+    const std::uint64_t frame = memory_.frameOf(pte->frameAddr);
+    if (frames_[frame].pinCount > 0
+            || !pageOutAllowed(memory_.frameAddr(frame)))
         return false;
-    Addr fa = memory_.frameAddr(frame);
-    for (auto *c : controllers_) {
-        Addr dl;
-        if (c->destLoadedPage(dl) && dl == fa)
-            c->inval();
-    }
-    if (!mutations_.ignoreI4PageBusy && pageBusyAnywhere(fa)) {
-        ++i4Skips_;
-        return false;
-    }
     evictFrame(frame, lat);
     return true;
 }
@@ -877,20 +861,14 @@ Kernel::evictFrame(std::uint64_t frame, Tick &lat)
     SHRIMP_ASSERT(pte && pte->valid, "evicting unmapped frame");
     Addr fa = memory_.frameAddr(frame);
 
-    if (pageConsideredDirty(*owner, f.vpn, *pte)) {
-        // Clean: write the page to backing store.
-        std::vector<std::uint8_t> buf(layout_.pageBytes());
-        memory_.readBytes(fa, buf.data(), buf.size());
-        backing_.store(f.pid, f.vpn, buf.data());
-        lat += params_.swapPage();
-    }
+    if (pageConsideredDirty(*owner, f.vpn, *pte))
+        writeBack(f.pid, f.vpn, fa, lat);
 
     // Invariant I2: the proxy mappings die with the real mapping.
     if (!mutations_.skipProxyShootdown)
         invalidateProxyMappings(*owner, f.vpn);
 
-    if (mmu_.activeTable() == &owner->pageTable_)
-        mmu_.invalidatePage(f.vpn);
+    tlbShootdown(*owner, f.vpn);
     owner->pageTable_.remove(f.vpn);
 
     trace::log(eq_.now(), trace::Category::Vm, "evict frame ", frame,
@@ -903,44 +881,56 @@ Kernel::evictFrame(std::uint64_t frame, Tick &lat)
 }
 
 void
+Kernel::writeBack(Pid pid, std::uint64_t vpn, Addr page_base, Tick &lat)
+{
+    std::vector<std::uint8_t> buf(layout_.pageBytes());
+    memory_.readBytes(page_base, buf.data(), buf.size());
+    backing_.store(pid, vpn, buf.data());
+    lat += params_.swapPage();
+}
+
+template <typename Fn>
+void
+Kernel::forEachProxyPte(Process &proc, std::uint64_t real_vpn,
+                        Fn &&fn) const
+{
+    for (const auto *c : controllers_) {
+        const std::uint64_t proxy_vpn =
+            layout_.memProxyBase(c->deviceIndex()) / layout_.pageBytes()
+            + real_vpn;
+        if (vm::Pte *pte = proc.pageTable_.lookup(proxy_vpn))
+            fn(proxy_vpn, *pte);
+    }
+}
+
+void
 Kernel::invalidateProxyMappings(Process &proc, std::uint64_t real_vpn)
 {
-    for (auto *c : controllers_) {
-        unsigned d = c->deviceIndex();
-        std::uint64_t proxy_vpn =
-            layout_.memProxyBase(d) / layout_.pageBytes() + real_vpn;
-        if (proc.pageTable_.lookup(proxy_vpn)) {
-            if (mmu_.activeTable() == &proc.pageTable_)
-                mmu_.invalidatePage(proxy_vpn);
-            // The translation cache holds a pointer into the page
-            // table; drop it before the PTE node goes away.
-            if (!mutations_.skipTcacheShootdown)
-                tcache_.invalidate(proc.pid_, proxy_vpn);
-            proc.pageTable_.remove(proxy_vpn);
-            ++i2Shootdowns_;
-        }
-    }
+    forEachProxyPte(proc, real_vpn, [&](std::uint64_t proxy_vpn,
+                                        vm::Pte &) {
+        tlbShootdown(proc, proxy_vpn);
+        // The translation cache holds a pointer into the page table;
+        // drop it before the PTE node goes away.
+        if (!mutations_.skipTcacheShootdown)
+            tcache_.invalidate(proc.pid_, proxy_vpn);
+        proc.pageTable_.remove(proxy_vpn);
+        ++i2Shootdowns_;
+    });
 }
 
 bool
 Kernel::pageConsideredDirty(Process &proc, std::uint64_t real_vpn,
                             const vm::Pte &real_pte) const
 {
-    if (real_pte.dirty)
-        return true;
-    if (i3Policy_ != I3Policy::ProxyDirtyBits)
-        return false;
+    bool dirty = real_pte.dirty;
     // Alternative scheme: "the kernel considers vmem_page dirty if
     // either vmem_page or PROXY(vmem_page) is dirty."
-    for (auto *c : controllers_) {
-        unsigned d = c->deviceIndex();
-        std::uint64_t proxy_vpn =
-            layout_.memProxyBase(d) / layout_.pageBytes() + real_vpn;
-        const vm::Pte *pte = proc.pageTable_.lookup(proxy_vpn);
-        if (pte && pte->valid && pte->dirty)
-            return true;
+    if (!dirty && i3Policy_ == I3Policy::ProxyDirtyBits) {
+        forEachProxyPte(proc, real_vpn, [&](std::uint64_t, vm::Pte &pte) {
+            dirty = dirty || (pte.valid && pte.dirty);
+        });
     }
-    return false;
+    return dirty;
 }
 
 void
@@ -948,30 +938,21 @@ Kernel::clearPageDirty(Process &proc, std::uint64_t real_vpn,
                        vm::Pte &real_pte)
 {
     real_pte.dirty = false;
-    if (i3Policy_ != I3Policy::ProxyDirtyBits)
-        return;
-    for (auto *c : controllers_) {
-        unsigned d = c->deviceIndex();
-        std::uint64_t proxy_vpn =
-            layout_.memProxyBase(d) / layout_.pageBytes() + real_vpn;
-        if (vm::Pte *pte = proc.pageTable_.lookup(proxy_vpn))
-            pte->dirty = false;
+    if (i3Policy_ == I3Policy::ProxyDirtyBits) {
+        forEachProxyPte(proc, real_vpn, [](std::uint64_t, vm::Pte &pte) {
+            pte.dirty = false;
+        });
     }
 }
 
 void
 Kernel::writeProtectProxyMappings(Process &proc, std::uint64_t real_vpn)
 {
-    for (auto *c : controllers_) {
-        unsigned d = c->deviceIndex();
-        std::uint64_t proxy_vpn =
-            layout_.memProxyBase(d) / layout_.pageBytes() + real_vpn;
-        if (vm::Pte *pte = proc.pageTable_.lookup(proxy_vpn)) {
-            if (mmu_.activeTable() == &proc.pageTable_)
-                mmu_.invalidatePage(proxy_vpn);
-            pte->writable = false;
-        }
-    }
+    forEachProxyPte(proc, real_vpn, [&](std::uint64_t proxy_vpn,
+                                        vm::Pte &pte) {
+        tlbShootdown(proc, proxy_vpn);
+        pte.writable = false;
+    });
 }
 
 bool
@@ -988,11 +969,8 @@ Kernel::cleanPage(Process &proc, Addr va, Tick &lat)
     if (pageBusyAnywhere(page_base))
         return false;
     if (pageConsideredDirty(proc, vpn, *pte)) {
-        std::vector<std::uint8_t> buf(layout_.pageBytes());
-        memory_.readBytes(page_base, buf.data(), buf.size());
-        backing_.store(proc.pid_, vpn, buf.data());
+        writeBack(proc.pid_, vpn, page_base, lat);
         clearPageDirty(proc, vpn, *pte);
-        lat += params_.swapPage();
     }
     // Invariant I3 (main scheme only): cleaning write-protects the
     // proxy mapping so the next proxy write re-marks the page dirty.
@@ -1062,8 +1040,7 @@ Kernel::mapDeviceProxy(Process &proc, unsigned device,
         pte.valid = true;
         pte.writable = writable;
         pte.user = true;
-        if (mmu_.activeTable() == &proc.pageTable_)
-            mmu_.invalidatePage(vpn);
+        tlbShootdown(proc, vpn);
         proc.pageTable_.install(vpn, pte);
         lat += params_.instrTicks(60);
     }
@@ -1083,7 +1060,7 @@ Kernel::buildDmaSegments(Process &proc, Addr va, std::uint32_t nbytes,
         const VmRegion *r = proc.regionFor(cur);
         if (!r || (for_write && !r->writable))
             return false;
-        if (!ensureResident(proc, cur, for_write, lat))
+        if (!ensureResident(proc, cur, lat))
             return false;
         vm::Pte *pte = proc.pageTable_.lookup(layout_.pageOf(cur));
         SHRIMP_ASSERT(pte && pte->valid, "resident page vanished");
@@ -1118,7 +1095,7 @@ Kernel::pinRange(Process &proc, Addr va, std::uint32_t nbytes,
     Addr last = layout_.pageBase(va + nbytes - 1);
     std::vector<std::uint64_t> pinned;
     for (Addr p = first; p <= last; p += layout_.pageBytes()) {
-        if (!ensureResident(proc, p, false, lat))
+        if (!ensureResident(proc, p, lat))
             break;
         vm::Pte *pte = proc.pageTable_.lookup(layout_.pageOf(p));
         if (!pte || !pte->valid)
@@ -1156,7 +1133,7 @@ Kernel::unpinRange(Process &proc, Addr va, std::uint32_t nbytes)
 bool
 Kernel::exportPage(Process &proc, Addr va, Addr &paddr_out, Tick &lat)
 {
-    if (!ensureResident(proc, va, true, lat))
+    if (!ensureResident(proc, va, lat))
         return false;
     vm::Pte *pte = proc.pageTable_.lookup(layout_.pageOf(va));
     SHRIMP_ASSERT(pte && pte->valid, "exported page not resident");
@@ -1184,18 +1161,9 @@ Kernel::forEachProcess(const std::function<void(Process &)> &fn)
 void
 Kernel::modelSwitchTo(Process &proc)
 {
-    materializePoll();
-    ++switches_;
     trace::log(eq_.now(), trace::Category::Os, "model switch to ",
                proc.name(), " (pid ", proc.pid(), ")");
-    if (!mutations_.skipInvalOnSwitch) {
-        for (auto *c : controllers_) {
-            c->inval();
-            ++i1Invals_;
-        }
-    }
-    mmu_.activate(&proc.pageTable_);
-    fireAuditHook(KernelEvent::ContextSwitch);
+    (void)switchAddressSpace(proc);
 }
 
 Kernel::UserAccess
@@ -1210,65 +1178,17 @@ Kernel::performUserAccess(Process &proc, Addr va, bool is_write,
     SHRIMP_ASSERT(mmu_.activeTable() == &proc.pageTable_,
                   "performUserAccess needs the process's address space "
                   "active (modelSwitchTo first)");
+    // A timed op is never issued with a spin in flight; a model
+    // access may be, and its fault path can kill or remap.
     materializePoll();
-
     actorOverride_ = &proc;
-    std::uint64_t vpn = layout_.pageOf(va);
-    vm::TranslateResult tr;
-    vm::Pte *cpte = tcache_.lookup(proc.pid_, vpn, is_write);
-    if (cpte) {
-        cpte->referenced = true;
-        if (is_write)
-            cpte->dirty = true;
-        tr.paddr = cpte->frameAddr + layout_.pageOffset(va);
-        tr.tlbHit = true;
-    } else {
-        int attempts = 0;
-        for (;;) {
-            tr = mmu_.translate(va, is_write);
-            if (tr.ok())
-                break;
-            auto out = handleFault(proc, va, is_write, tr.fault);
-            faultUs_.sample(ticksToUs(out.latency));
-            fireAuditHook(KernelEvent::PageFault);
-            if (out.killed) {
-                actorOverride_ = nullptr;
-                res.killed = true;
-                return res;
-            }
-            SHRIMP_ASSERT(++attempts < 8, "page-fault livelock at va=",
-                          va);
-        }
-    }
-
-    auto dec = layout_.decode(tr.paddr);
-    if (!cpte && dec.space != vm::Space::Memory) {
-        if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
-            tcache_.insert(proc.pid_, vpn, pte);
-    }
-    if (dec.space == vm::Space::Memory) {
-        if (is_write) {
-            memory_.write<std::uint64_t>(tr.paddr, value);
-            for (auto &snoop : snoopers_)
-                (void)snoop(tr.paddr, value);
-        } else {
-            res.value = memory_.read<std::uint64_t>(tr.paddr);
-        }
-    } else {
-        bus::ProxyClient *client = ioBus_.client(dec.device);
-        if (!client) {
-            killProcess(proc, "proxy access to unattached device");
-            actorOverride_ = nullptr;
-            res.killed = true;
-            return res;
-        }
-        if (is_write)
-            client->proxyStore(dec, tr.paddr, std::int64_t(value));
-        else
-            res.value = client->proxyLoad(dec, tr.paddr);
-    }
+    Addr pa = 0;
+    Tick untimed = 0;
+    const Access acc = translateUser(proc, va, is_write, pa, untimed);
+    applyAccess(acc, pa, value, res.value);
     actorOverride_ = nullptr;
-    res.ok = true;
+    res.ok = acc != Access::None;
+    res.killed = !res.ok;
     return res;
 }
 
@@ -1283,7 +1203,7 @@ Kernel::pokeBytes(Process &proc, Addr va, const void *src,
     const auto *bytes = static_cast<const std::uint8_t *>(src);
     Tick scratch = 0;
     while (len > 0) {
-        if (!ensureResident(proc, va, true, scratch))
+        if (!ensureResident(proc, va, scratch))
             panic("pokeBytes outside an allocated region, va=", va);
         vm::Pte *pte = proc.pageTable_.lookup(layout_.pageOf(va));
         pte->dirty = true;
@@ -1303,7 +1223,7 @@ Kernel::peekBytes(Process &proc, Addr va, void *dst, std::uint64_t len)
     auto *bytes = static_cast<std::uint8_t *>(dst);
     Tick scratch = 0;
     while (len > 0) {
-        if (!ensureResident(proc, va, false, scratch))
+        if (!ensureResident(proc, va, scratch))
             panic("peekBytes outside an allocated region, va=", va);
         vm::Pte *pte = proc.pageTable_.lookup(layout_.pageOf(va));
         std::uint64_t chunk =

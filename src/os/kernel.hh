@@ -288,20 +288,21 @@ class Kernel
     };
 
     /**
-     * Perform one user LOAD/STORE synchronously and untimed, running
-     * the full MMU-translate / fault-repair / proxy-dispatch path of
-     * issueOp. The process must be the current address space (use
-     * modelSwitchTo). This is how tools/udma_model_check drives
-     * arbitrary STORE/LOAD interleavings without the scheduler.
+     * Perform one user LOAD/STORE synchronously and untimed, through
+     * the translate helper and access applier the timed CPU runs
+     * (issueOp/completeOp), with the latency dropped. The process
+     * must be the current address space (use modelSwitchTo). This is
+     * how tools/udma_model_check drives arbitrary STORE/LOAD
+     * interleavings without the scheduler.
      */
     UserAccess performUserAccess(Process &proc, Addr va, bool is_write,
                                  std::uint64_t value = 0);
 
     /**
      * Architectural essentials of a context switch, synchronously:
-     * the per-controller Inval STOREs (invariant I1) and the address
-     * space activation. Scheduler bookkeeping (queues, quanta) is not
-     * touched; checker/test use only.
+     * the switch helper dispatch runs (the per-controller I1 Inval
+     * STOREs and the address-space activation). Scheduler bookkeeping
+     * (queues, quanta) is not touched; checker/test use only.
      */
     void modelSwitchTo(Process &proc);
 
@@ -433,6 +434,20 @@ class Kernel
         ProxyStore,
     };
 
+    /**
+     * Resolve one user reference, for the timed CPU and the model
+     * checker alike: the proxy-translation-cache probe, the MMU with
+     * fault repair, the cache fill and the decode. Adds TLB-miss and
+     * fault-handler time to @p lat. Returns the access to apply at
+     * @p pa, or Access::None if the reference killed the process.
+     */
+    Access translateUser(Process &proc, Addr va, bool is_write,
+                         Addr &pa, Tick &lat);
+    /** Perform a translated access: memory (and the store snoopers)
+     *  or the owning controller's proxy decode. Loads set
+     *  @p loaded. */
+    void applyAccess(Access acc, Addr pa, std::uint64_t value,
+                     std::uint64_t &loaded);
     /** A cpu.op's completion: the access, then opDone. */
     void completeOp(Process &proc, UserOp *op, Access acc, Addr pa,
                     After after);
@@ -452,6 +467,10 @@ class Kernel
     void materializePoll();
     static void onPollWordWritten(void *kernel);
     void dispatch();
+    /** Give the CPU's address space to @p next: the I1 Inval to every
+     *  controller, the MMU activation and the ContextSwitch hook.
+     *  Returns the Invals' I/O time. */
+    Tick switchAddressSpace(Process &next);
     void resumeProcess(Process &proc);
     void onProcessExit(Process &proc);
     void finalizeKill(Process &proc);
@@ -466,10 +485,13 @@ class Kernel
     FaultOutcome handleProxyFault(Process &proc, Addr va,
                                   unsigned device, Addr real_va,
                                   bool is_write, vm::Fault fault);
+    /** End a fault by killing the process; @p out keeps the
+     *  handler's time so far. */
+    FaultOutcome faultKill(Process &proc, FaultOutcome out,
+                           const char *reason);
 
     /** Fault a real page in (demand-zero or swap-in). */
-    bool ensureResident(Process &proc, Addr va, bool for_write,
-                        Tick &lat);
+    bool ensureResident(Process &proc, Addr va, Tick &lat);
 
     /** Allocate a frame, evicting if necessary. */
     bool allocFrame(Pid pid, std::uint64_t vpn, std::uint64_t &frame,
@@ -477,9 +499,31 @@ class Kernel
 
     /** Evict a specific frame (already chosen). */
     void evictFrame(std::uint64_t frame, Tick &lat);
+    /** Copy the page at @p page_base to the backing store. */
+    void writeBack(Pid pid, std::uint64_t vpn, Addr page_base, Tick &lat);
 
     /** Is this physical page involved in any controller's transfers? */
     bool pageBusyAnywhere(Addr page_base) const;
+
+    /** Invariant I4 at page-out: Inval a DESTINATION latched on the
+     *  frame at @p fa, then refuse (an I4 skip) while a transfer
+     *  references it. */
+    bool pageOutAllowed(Addr fa);
+
+    /** Call fn(proxy_vpn, pte) for each memory-proxy PTE of
+     *  (proc, real vpn), one per controller: the PTEs I2 and I3 act
+     *  on. */
+    template <typename Fn>
+    void forEachProxyPte(Process &proc, std::uint64_t real_vpn,
+                         Fn &&fn) const;
+
+    /** Drop @p vpn from the TLB if @p proc's table is the live one. */
+    void
+    tlbShootdown(const Process &proc, std::uint64_t vpn)
+    {
+        if (mmu_.activeTable() == &proc.pageTable_)
+            mmu_.invalidatePage(vpn);
+    }
 
     /** Remove the proxy mappings of (proc, real vpn) for all devices
      *  — invariant I2. */

@@ -66,9 +66,10 @@ NetworkInterface::NetworkInterface(sim::EventQueue &eq,
                                    NodeId node,
                                    mem::PhysicalMemory &memory,
                                    bus::IoBus &io_bus, Interconnect &net,
+                                   sim::NodeRouter &router,
                                    std::uint32_t page_bytes)
-    : eq_(eq), params_(params), node_(node), memory_(memory),
-      ioBus_(io_bus), net_(net), pageBytes_(page_bytes)
+    : eq_(eq), params_(params), router_(router), node_(node),
+      memory_(memory), ioBus_(io_bus), net_(net), pageBytes_(page_bytes)
 {
     net_.attach(node, this);
 
@@ -403,13 +404,8 @@ void
 NetworkInterface::postToNode(NodeId dst, Tick when, const char *name,
                              sim::EventCallback fn)
 {
-    if (router_) {
-        router_->post(node_, dst, when, name, std::move(fn),
-                      sim::EventPriority::DeviceCompletion);
-    } else {
-        eq_.schedule(when, name, std::move(fn),
-                     sim::EventPriority::DeviceCompletion);
-    }
+    router_.post(node_, dst, when, name, std::move(fn),
+                 sim::EventPriority::DeviceCompletion);
 }
 
 Tick

@@ -163,19 +163,12 @@ class NetworkInterface : public dma::UdmaDevice
     NetworkInterface(sim::EventQueue &eq,
                      const sim::MachineParams &params, NodeId node,
                      mem::PhysicalMemory &memory, bus::IoBus &io_bus,
-                     Interconnect &net, std::uint32_t page_bytes);
+                     Interconnect &net, sim::NodeRouter &router,
+                     std::uint32_t page_bytes);
 
     NodeId node() const { return node_; }
     Nipt &nipt() { return nipt_; }
     const Nipt &nipt() const { return nipt_; }
-
-    /**
-     * Route cross-node deliveries and acks through the engine's
-     * mailboxes (core::System always wires this). A unit test that
-     * builds NIs on one shared queue leaves it unset, and they are
-     * scheduled on that queue.
-     */
-    void setRouter(sim::NodeRouter *router) { router_ = router; }
 
     // --------------------------------- automatic update (Section 9)
     /**
@@ -537,7 +530,7 @@ class NetworkInterface : public dma::UdmaDevice
 
     sim::EventQueue &eq_;
     const sim::MachineParams &params_;
-    sim::NodeRouter *router_ = nullptr;
+    sim::NodeRouter &router_;
     NodeId node_;
     mem::PhysicalMemory &memory_;
     bus::IoBus &ioBus_;

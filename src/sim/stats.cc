@@ -45,18 +45,6 @@ TextDumper::scalar(const std::string &name, const std::string &desc,
 }
 
 void
-TextDumper::average(const std::string &name, const std::string &desc,
-                    const Average &a)
-{
-    os_ << group_ << '.' << name << "::mean " << a.mean()
-        << "  ::count " << a.count() << "  ::min " << a.min()
-        << "  ::max " << a.max();
-    if (!desc.empty())
-        os_ << "   # " << desc;
-    os_ << '\n';
-}
-
-void
 TextDumper::histogram(const std::string &name, const std::string &desc,
                       const Histogram &h)
 {
@@ -74,20 +62,6 @@ TextDumper::histogram(const std::string &name, const std::string &desc,
             continue;
         os_ << group_ << '.' << name << "::" << h.bucketLo(i) << '-'
             << (h.bucketLo(i) + h.bucketWidth()) << ' ' << h.bucket(i)
-            << '\n';
-    }
-}
-
-void
-TextDumper::distribution(const std::string &name, const std::string &desc,
-                         const Distribution &d)
-{
-    os_ << group_ << '.' << name << "::samples " << d.total();
-    if (!desc.empty())
-        os_ << "   # " << desc;
-    os_ << '\n';
-    for (const auto &[key, count] : d.counts()) {
-        os_ << group_ << '.' << name << "::" << key << ' ' << count
             << '\n';
     }
 }
@@ -126,19 +100,6 @@ JsonDumper::scalar(const std::string &name, const std::string &,
 }
 
 void
-JsonDumper::average(const std::string &name, const std::string &,
-                    const Average &a)
-{
-    w_.key(name);
-    w_.beginObject();
-    w_.field("mean", a.mean());
-    w_.field("count", a.count());
-    w_.field("min", a.min());
-    w_.field("max", a.max());
-    w_.endObject();
-}
-
-void
 JsonDumper::histogram(const std::string &name, const std::string &,
                       const Histogram &h)
 {
@@ -164,22 +125,6 @@ JsonDumper::histogram(const std::string &name, const std::string &,
 }
 
 void
-JsonDumper::distribution(const std::string &name, const std::string &,
-                         const Distribution &d)
-{
-    w_.key(name);
-    w_.beginObject();
-    w_.field("type", "distribution");
-    w_.field("samples", d.total());
-    w_.key("counts");
-    w_.beginObject();
-    for (const auto &[key, count] : d.counts())
-        w_.field(std::to_string(key), count);
-    w_.endObject();
-    w_.endObject();
-}
-
-void
 JsonDumper::formula(const std::string &name, const std::string &,
                     const Formula &f)
 {
@@ -194,12 +139,8 @@ StatGroup::accept(StatVisitor &v, const std::string &prefix) const
     v.beginGroup(prefix + name_);
     for (const auto &e : scalars_)
         v.scalar(e.name, e.desc, *e.stat);
-    for (const auto &e : averages_)
-        v.average(e.name, e.desc, *e.stat);
     for (const auto &e : histograms_)
         v.histogram(e.name, e.desc, *e.stat);
-    for (const auto &e : distributions_)
-        v.distribution(e.name, e.desc, *e.stat);
     for (const auto &e : formulas_)
         v.formula(e.name, e.desc, *e.stat);
     v.endGroup();

@@ -2,11 +2,10 @@
  * @file
  * A small gem5-flavoured statistics package.
  *
- * Components own named statistics (scalars, averages, histograms,
- * distributions by key, derived formulas) registered in a StatGroup; a
- * System can dump every group to a stream at the end of a run, either
- * as text or as JSON via the visitor interface. Stats never affect
- * simulated behaviour.
+ * Components own named statistics (scalars, histograms, derived
+ * formulas) registered in a StatGroup; a System can dump every group
+ * to a stream at the end of a run, either as text or as JSON via the
+ * visitor interface. Stats never affect simulated behaviour.
  *
  * Naming convention: a stat's full name is `component.metric`
  * (e.g. `kernel.i1_invals`, `engine.xfer_us`); System adds a
@@ -19,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -42,7 +40,7 @@ class Scalar
     double value_ = 0;
 };
 
-/** Mean/min/max over observed samples. */
+/** Mean/min/max over observed samples (a Histogram's summary). */
 class Average
 {
   public:
@@ -194,35 +192,6 @@ class Histogram
     Average stats_;
 };
 
-/** Sparse per-key event counts (e.g. queue depth at dispatch). */
-class Distribution
-{
-  public:
-    void
-    sample(std::int64_t key, std::uint64_t n = 1)
-    {
-        counts_[key] += n;
-        total_ += n;
-    }
-
-    void
-    reset()
-    {
-        counts_.clear();
-        total_ = 0;
-    }
-
-    std::uint64_t total() const { return total_; }
-    const std::map<std::int64_t, std::uint64_t> &counts() const
-    {
-        return counts_;
-    }
-
-  private:
-    std::map<std::int64_t, std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
 /**
  * A derived stat evaluated at dump time from other stats
  * (e.g. bytes moved / busy time = bandwidth).
@@ -250,8 +219,7 @@ class Formula
  * Visitor over a StatGroup's registered stats. beginGroup receives the
  * group's full dotted name (including any dump prefix); per-stat hooks
  * receive the short metric name. Stats are visited in registration
- * order, scalars first, then averages, histograms, distributions, and
- * formulas last.
+ * order, scalars first, then histograms, and formulas last.
  */
 class StatVisitor
 {
@@ -263,13 +231,8 @@ class StatVisitor
 
     virtual void scalar(const std::string &name, const std::string &desc,
                         const Scalar &s) = 0;
-    virtual void average(const std::string &name, const std::string &desc,
-                         const Average &a) = 0;
     virtual void histogram(const std::string &name, const std::string &desc,
                            const Histogram &h) = 0;
-    virtual void distribution(const std::string &name,
-                              const std::string &desc,
-                              const Distribution &d) = 0;
     virtual void formula(const std::string &name, const std::string &desc,
                          const Formula &f) = 0;
 };
@@ -283,12 +246,8 @@ class TextDumper : public StatVisitor
     void beginGroup(const std::string &fullName) override;
     void scalar(const std::string &name, const std::string &desc,
                 const Scalar &s) override;
-    void average(const std::string &name, const std::string &desc,
-                 const Average &a) override;
     void histogram(const std::string &name, const std::string &desc,
                    const Histogram &h) override;
-    void distribution(const std::string &name, const std::string &desc,
-                      const Distribution &d) override;
     void formula(const std::string &name, const std::string &desc,
                  const Formula &f) override;
 
@@ -301,9 +260,9 @@ class TextDumper : public StatVisitor
  * Writes each group as a JSON object keyed by its full name. The
  * caller owns the surrounding JsonWriter and must already be inside an
  * object; one `"group": { "metric": ... }` member is emitted per
- * visited group. Scalars and formulas become numbers; averages,
- * histograms, and distributions become objects (histograms carry a
- * `buckets` array plus the bucket geometry).
+ * visited group. Scalars and formulas become numbers; histograms
+ * become objects carrying their summary, a `buckets` array and the
+ * bucket geometry.
  */
 class JsonDumper : public StatVisitor
 {
@@ -314,12 +273,8 @@ class JsonDumper : public StatVisitor
     void endGroup() override;
     void scalar(const std::string &name, const std::string &desc,
                 const Scalar &s) override;
-    void average(const std::string &name, const std::string &desc,
-                 const Average &a) override;
     void histogram(const std::string &name, const std::string &desc,
                    const Histogram &h) override;
-    void distribution(const std::string &name, const std::string &desc,
-                      const Distribution &d) override;
     void formula(const std::string &name, const std::string &desc,
                  const Formula &f) override;
 
@@ -349,24 +304,10 @@ class StatGroup
     }
 
     void
-    addAverage(const std::string &name, const Average *a,
-               const std::string &desc = {})
-    {
-        averages_.push_back({name, desc, a});
-    }
-
-    void
     addHistogram(const std::string &name, const Histogram *h,
                  const std::string &desc = {})
     {
         histograms_.push_back({name, desc, h});
-    }
-
-    void
-    addDistribution(const std::string &name, const Distribution *d,
-                    const std::string &desc = {})
-    {
-        distributions_.push_back({name, desc, d});
     }
 
     void
@@ -398,9 +339,7 @@ class StatGroup
 
     std::string name_;
     std::vector<Entry<Scalar>> scalars_;
-    std::vector<Entry<Average>> averages_;
     std::vector<Entry<Histogram>> histograms_;
-    std::vector<Entry<Distribution>> distributions_;
     std::vector<Entry<Formula>> formulas_;
 };
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/one_queue_router.hh"
 #include "bus/io_bus.hh"
 #include "mem/physical_memory.hh"
 #include "shrimp/network_interface.hh"
@@ -39,6 +40,7 @@ parseTopo(const std::string &spec)
 struct NetFixture : ::testing::Test
 {
     sim::EventQueue eq;
+    testsupport::OneQueueRouter router{eq};
     sim::MachineParams params;
     Interconnect net{params};
     mem::PhysicalMemory mem{1 << 20, 4096};
@@ -51,7 +53,7 @@ struct NetFixture : ::testing::Test
     {
         for (unsigned i = 0; i < n; ++i)
             nis.push_back(std::make_unique<NetworkInterface>(
-                eq, params, i, mem, bus, net, 4096));
+                eq, params, i, mem, bus, net, router, 4096));
     }
 };
 
@@ -65,14 +67,14 @@ TEST_F(NetFixture, UnknownNodePanics)
 
 TEST_F(NetFixture, AttachAndLookup)
 {
-    NetworkInterface ni(eq, params, 5, mem, bus, net, 4096);
+    NetworkInterface ni(eq, params, 5, mem, bus, net, router, 4096);
     EXPECT_TRUE(net.hasNode(5));
     EXPECT_EQ(net.ni(5), &ni);
 }
 
 TEST_F(NetFixture, DoubleAttachPanics)
 {
-    NetworkInterface ni(eq, params, 5, mem, bus, net, 4096);
+    NetworkInterface ni(eq, params, 5, mem, bus, net, router, 4096);
     EXPECT_THROW(net.attach(5, &ni), PanicError);
 }
 
@@ -251,10 +253,11 @@ TEST(Routing, MeshDirectionLinksArbitrateIndependently)
     Interconnect net{params, parseTopo("mesh:4x4")};
     mem::PhysicalMemory mem{1 << 20, 4096};
     bus::IoBus bus{eq, params};
+    testsupport::OneQueueRouter router{eq};
     std::vector<std::unique_ptr<NetworkInterface>> nis;
     for (unsigned i = 0; i < 16; ++i)
         nis.push_back(std::make_unique<NetworkInterface>(
-            eq, params, i, mem, bus, net, 4096));
+            eq, params, i, mem, bus, net, router, 4096));
 
     // Node 5 is interior: -X=4, +X=6, -Y=1, +Y=9 are four distinct
     // physical links and must not serialize against each other...
@@ -338,11 +341,9 @@ runFloorProperty(const std::string &spec, NodeId src, NodeId dst)
     mem::PhysicalMemory mem{1 << 22, 4096};
     bus::IoBus bus{eq, params};
     std::vector<std::unique_ptr<NetworkInterface>> nis;
-    for (unsigned i = 0; i < n; ++i) {
+    for (unsigned i = 0; i < n; ++i)
         nis.push_back(std::make_unique<NetworkInterface>(
-            eq, params, i, mem, bus, net, 4096));
-        nis.back()->setRouter(&router);
-    }
+            eq, params, i, mem, bus, net, router, 4096));
 
     // Delay and duplicate faults: both may only move arrivals later.
     FaultConfig fc;

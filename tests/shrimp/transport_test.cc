@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "../support/one_queue_router.hh"
 #include "bus/io_bus.hh"
 #include "mem/physical_memory.hh"
 #include "shrimp/fault.hh"
@@ -187,8 +188,9 @@ struct TransportPair : ::testing::Test
     mem::PhysicalMemory memB{1 << 20, 4096};
     bus::IoBus busA{eq, params};
     bus::IoBus busB{eq, params};
-    NetworkInterface niA{eq, params, 0, memA, busA, net, 4096};
-    NetworkInterface niB{eq, params, 1, memB, busB, net, 4096};
+    testsupport::OneQueueRouter router{eq};
+    NetworkInterface niA{eq, params, 0, memA, busA, net, router, 4096};
+    NetworkInterface niB{eq, params, 1, memB, busB, net, router, 4096};
 
     void
     installDownWindow(bool disable_fast_retransmit)

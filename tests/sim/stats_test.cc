@@ -101,10 +101,10 @@ TEST(StatGroup, DumpsRegisteredStats)
     StatGroup g("node0.kernel");
     Scalar s;
     s += 7;
-    Average a;
-    a.sample(4);
+    Histogram h(0, 10, 2);
+    h.sample(4);
     g.addScalar("faults", &s, "page faults");
-    g.addAverage("latency", &a);
+    g.addHistogram("latency", &h);
     std::ostringstream os;
     g.dump(os);
     std::string out = os.str();
